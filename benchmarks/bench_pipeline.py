@@ -6,11 +6,11 @@ calling the operator directly.  This benchmark quantifies what that
 indirection costs so the redesign's price stays visible in the perf
 trajectory: the same stream is replayed (1) through a bare
 ``CEPOperator.detect_all`` -- the old direct wiring, (2) through
-per-event ``Pipeline.run``, and (3) through micro-batched
-``Pipeline.run`` (``.batch(64)``), and the per-event wall-clock times
-are compared.  All paths produce identical detections in identical
-order, which the benchmark asserts -- per-event vs batched both
-sequentially and through a 2-shard cluster.
+``Pipeline.run`` at batch size 1, and (3) through ``Pipeline.run`` at
+``.batch(64)``, and the per-event wall-clock times are compared.  All
+runs produce identical detections in identical order, which the
+benchmark asserts -- batch=1 vs batch=64 both sequentially and through
+a 2-shard cluster.
 
 History of the tracked number (best-of-3, soccer Q1 workload):
 
@@ -25,8 +25,8 @@ History of the tracked number (best-of-3, soccer Q1 workload):
   direct operator within noise.
 
 Run ``python benchmarks/bench_pipeline.py --smoke`` for a quick
-CI-friendly check that batched replay is not slower than per-event
-replay and stays bit-identical.
+CI-friendly check that replay at batch=64 is not slower than at
+batch=1 and stays bit-identical.
 """
 
 import time
@@ -104,7 +104,7 @@ def test_stage_chain_overhead(report):
             "Pipeline stage-chain overhead (unshedded batch replay):\n"
             f"  events:              {out['events']}\n"
             f"  direct operator:     {out['direct_us_per_event']:.2f} us/event\n"
-            f"  pipeline per-event:  {out['pipeline_us_per_event']:.2f} us/event "
+            f"  pipeline batch=1:    {out['pipeline_us_per_event']:.2f} us/event "
             f"({out['overhead_pct']:+.1f}%)\n"
             f"  pipeline batch={BATCH_SIZE}:   {out['batched_us_per_event']:.2f} "
             f"us/event ({out['batched_overhead_pct']:+.1f}%)\n"
@@ -132,11 +132,12 @@ def test_stage_chain_overhead(report):
 
 
 def test_shedded_batch_kernel(report):
-    """Active shedding: scalar loop vs vectorized kernel backends.
+    """Active shedding: batch=1 vs batched vectorized kernel backends.
 
-    Same deployment, same static drop command; per-event (scalar
-    decisions) vs batched with the numpy kernel and with the stdlib
-    fallback kernel.  Detections must be identical everywhere.
+    Same deployment, same static drop command; batch size 1 (one
+    kernel call per event) vs batched with the numpy kernel and with
+    the stdlib fallback kernel.  Detections must be identical
+    everywhere.
 
     The scenario is *static* coordinated shedding (the deterministic
     "under shedding" setup), so the overload detector has no decisions
@@ -204,9 +205,9 @@ def test_shedded_batch_kernel(report):
             else "  batched (numpy):     numpy not installed\n"
         )
         text = (
-            "Shedded replay, scalar vs vectorized kernel "
+            "Shedded replay, batch=1 vs vectorized kernel "
             f"(batch={BATCH_SIZE}, incl. train+deploy):\n"
-            f"  per-event (scalar):  {out['scalar_us_per_event']:.2f} us/event\n"
+            f"  batch=1:             {out['scalar_us_per_event']:.2f} us/event\n"
             f"  batched (fallback):  {out['fallback_us_per_event']:.2f} us/event\n"
             + numpy_line
             + f"  detections:          {out['detections']} (bit-identical everywhere)"
@@ -323,24 +324,24 @@ def test_simulation_driver_overhead(report):
 # CI smoke mode: python benchmarks/bench_pipeline.py --smoke
 # ----------------------------------------------------------------------
 def smoke() -> int:
-    """Fast assertion: batched replay <= per-event wall time, identical
+    """Fast assertion: batch=64 replay <= batch=1 wall time, identical
     detections.  Exits non-zero on violation (wired into CI)."""
     _train, stream = workloads.soccer_streams()
     per_event_s, per_event_out = _measure(_chain_runner(stream))
     batched_s, batched_out = _measure(_chain_runner(stream, BATCH_SIZE))
     assert [c.key for c in batched_out] == [c.key for c in per_event_out], (
-        "batched detections diverged from per-event detections"
+        "batch=64 detections diverged from batch=1 detections"
     )
     print(
-        f"bench_pipeline --smoke: per-event {per_event_s:.3f}s, "
+        f"bench_pipeline --smoke: batch=1 {per_event_s:.3f}s, "
         f"batch={BATCH_SIZE} {batched_s:.3f}s "
         f"({100.0 * (batched_s - per_event_s) / per_event_s:+.1f}%), "
         f"{len(batched_out)} identical detections"
     )
     if batched_s > per_event_s:
-        print("FAIL: batched replay slower than per-event replay")
+        print("FAIL: batch=64 replay slower than batch=1 replay")
         return 1
-    print("OK: batched <= per-event wall time")
+    print("OK: batch=64 <= batch=1 wall time")
     return 0
 
 

@@ -270,10 +270,15 @@ class CEPOperator:
         Window assignment, shedding (if a shedder is installed and
         active) and matching happen inline.  Used for ground-truth
         computation (without a shedder) and for model training.
+        Detections are stamped with the timestamp of the event that
+        closed their window; still-open windows flush at the last
+        event's timestamp, like ``Pipeline.run``.
         """
         assigner = self.query.new_assigner()
         out: List[ComplexEvent] = []
+        last = 0.0
         for event in stream:
+            last = event.timestamp
             assignment = assigner.on_event(event)
             item = QueuedItem(
                 event=event,
@@ -282,5 +287,5 @@ class CEPOperator:
                 enqueue_time=event.timestamp,
             )
             out.extend(self.process(item, now=event.timestamp).complex_events)
-        out.extend(self.flush(assigner.flush()))
+        out.extend(self.flush(assigner.flush(), now=last))
         return out

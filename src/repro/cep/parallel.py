@@ -131,11 +131,13 @@ class WindowParallelOperator:
         """
         assigner = self.query.new_assigner()
         out: List[ComplexEvent] = []
+        last = 0.0
         for event in stream:
+            last = event.timestamp
             for window in assigner.on_event(event).closed:
-                out.extend(self.process_window(window, now=event.timestamp))
+                out.extend(self.process_window(window, now=last))
         for window in assigner.flush():
-            out.extend(self.process_window(window))
+            out.extend(self.process_window(window, now=last))
         out.sort(key=lambda c: c.window_id)
         return out
 

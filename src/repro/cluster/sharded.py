@@ -498,29 +498,16 @@ class ShardedPipeline:
         overload-check semantics (see :meth:`_check_overload`).
         """
         coordinator = self.coordinator
-        # bounded queues need per-event admission; the batched ingress
-        # is only equivalent when rejections cannot depend on drain
-        # interleaving (see Pipeline.run)
-        batched_ingress = self.pipeline.config.queue_capacity is None
         for state in self._chain_states:
             chain = state.chain
-            if batched_ingress:
-                # synchronous drain, like QueryChain.run_batch: the
-                # staging depth of the batch is not backlog
-                assign_stage = chain.window_assign
-                depth_before = assign_stage.max_queue_depth
-                chain.ingest_batch(batch)
-                items = chain.queue.pop_all()
-                assign_stage.max_queue_depth = max(
-                    depth_before, 1 if items else 0
-                )
-            else:
-                items = []
-                for event, now in zip(batch.events, batch.nows):
-                    if chain.ingest(event, now):
-                        queue = chain.queue
-                        while queue:
-                            items.append(queue.pop())
+            # ingress only (the shards run the egress), then a
+            # synchronous drain like QueryChain.run_batch: the staging
+            # depth of the batch is not backlog
+            assign_stage = chain.window_assign
+            depth_before = assign_stage.max_queue_depth
+            chain.ingest_batch(batch)
+            items = chain.queue.pop_all()
+            assign_stage.max_queue_depth = max(depth_before, 1 if items else 0)
             per_shard: Dict[int, List[tuple]] = {}
             for item in items:
                 for window in item.closed_windows:

@@ -1,17 +1,17 @@
 """Micro-batching of the pipeline's event path.
 
-The per-event stage chain pays interpreter constants -- stage dispatch,
-context allocation, queue round-trips -- for every single event.
-Micro-batching amortises them: events are accumulated into
-:class:`EventBatch` objects under the classic *size-or-linger* rule
-(mirroring :class:`repro.cluster.transport.BatchingSender`, but in
-event time so replays stay deterministic) and each stage processes the
-whole batch in one call (:meth:`repro.pipeline.stages.Stage.process_batch`).
+The stage chain pays interpreter constants -- stage dispatch, context
+allocation, queue round-trips -- once per call.  Micro-batching
+amortises them: events are accumulated into :class:`EventBatch`
+objects under the classic *size-or-linger* rule (mirroring
+:class:`repro.cluster.transport.BatchingSender`, but in event time so
+replays stay deterministic) and each stage processes the whole batch
+in one call (:meth:`repro.pipeline.stages.Stage.process_batch`).
 
-Batched execution is semantically transparent: detections are
-bit-for-bit identical, and identically ordered, to per-event execution
-(property-tested across batch sizes).  ``batch_size=1`` degenerates to
-the per-event path.
+The batch is the pipeline's only execution unit; a single event is a
+batch of one.  Detections are bit-for-bit identical, and identically
+ordered, for every batch size -- property-tested against the
+operator's own per-event loop (``CEPOperator.detect_all``).
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ class EventBatch:
 
     ``nows[i]`` is the time at which ``events[i]`` is (or was) fed --
     the event's own timestamp in replay mode, the explicit feed time in
-    live mode.  Keeping the per-event clock is what lets a batched run
-    stamp detections and enqueue times exactly like the per-event path.
+    live mode.  Keeping the per-event clock is what lets every batch
+    size stamp detections and enqueue times identically.
     """
 
     events: List[Event] = field(default_factory=list)
@@ -117,10 +117,10 @@ def iter_batches(
 class StageBatch:
     """One :class:`EventBatch` threaded through a stage chain.
 
-    Wraps the per-event :class:`StageContext` objects so batch-aware
-    stages can process them in one call while per-event (custom) stages
-    keep their exact semantics: a stage vetoing an event marks its
-    context ``stopped`` and every later stage skips it -- the batched
+    Wraps the per-event :class:`StageContext` objects so stages can
+    process them in one call while per-event (custom) stages keep their
+    exact semantics: a stage vetoing an event marks its context
+    ``stopped`` and every later stage skips it -- the batched
     equivalent of ``on_event`` returning ``False``.
     """
 

@@ -149,22 +149,16 @@ class PipelineBuilder:
         self._config.reference_size = size
         return self
 
-    def queue_capacity(self, capacity: Optional[int]) -> "PipelineBuilder":
-        """Bound the input queue; overflow is rejected at admission."""
-        self._config.queue_capacity = capacity
-        return self
-
     def batch(self, batch_size: int, linger: float = 0.0) -> "PipelineBuilder":
-        """Micro-batch the hot event path (size-or-linger).
+        """Size the micro-batches of the event path (size-or-linger).
 
-        ``run()``/``feed()`` then accumulate up to ``batch_size``
-        events (shipping early once the oldest buffered event is
-        ``linger`` event-time seconds old) and each stage processes the
-        batch in one call, with the shedding decisions resolved by the
-        vectorized kernel (:mod:`repro.core.kernel`).  Detections stay
-        bit-identical and identically ordered; only constants drop.
-        ``batch_size=1`` (the default) keeps per-event execution, and a
-        bounded :meth:`queue_capacity` forces it.
+        ``run()``/``feed()`` accumulate up to ``batch_size`` events
+        (shipping early once the oldest buffered event is ``linger``
+        event-time seconds old) and each stage processes the batch in
+        one call, with the shedding decisions resolved by the
+        vectorized kernel (:mod:`repro.core.kernel`).  Detections do
+        not depend on the size; larger batches only lower constants.
+        The default ``batch_size=1`` ships every event on its own.
         """
         if batch_size <= 0:
             raise ValueError("batch size must be positive")

@@ -79,8 +79,8 @@ def _materialise(stream: Iterable[Event]) -> Iterable[Event]:
 class PipelineConfig:
     """Shared knobs of a pipeline (one copy per chain).
 
-    The same knobs the deprecated ``ESpiceConfig`` carried, plus the
-    queue capacity used for admission control in live mode.
+    The knobs the deprecated ``ESpiceConfig`` carried, plus the
+    micro-batching of the event path.
     """
 
     latency_bound: float = 1.0
@@ -88,9 +88,8 @@ class PipelineConfig:
     bin_size: int = 1
     check_interval: float = 0.1
     reference_size: Optional[int] = None
-    queue_capacity: Optional[int] = None
     seed: int = 0
-    #: Micro-batch size of the hot event path (1 = per-event execution).
+    #: Micro-batch size of the event path (1 = every event ships alone).
     batch_size: int = 1
     #: Event-time seconds the oldest buffered event may wait before the
     #: micro-batch ships early (0 = flush purely by size).
@@ -137,10 +136,10 @@ class QueryChain:
     """One query's middleware chain: stages, queue, model and shedding.
 
     Built by :class:`repro.pipeline.builder.PipelineBuilder`; driven
-    either by :class:`Pipeline` (live mode) or by the virtual-time
-    simulation driver, both through the same four entry points:
-    :meth:`ingest`, :meth:`process_item`, :meth:`on_tick`,
-    :meth:`flush`.
+    either by :class:`Pipeline` (live mode, :meth:`run_batch`) or by
+    the virtual-time simulation driver (:meth:`ingest_batch` at
+    arrival, :meth:`process_item` when the operator picks an item up).
+    Both end in :meth:`on_tick` and :meth:`flush`.
     """
 
     def __init__(
@@ -173,8 +172,8 @@ class QueryChain:
         self.deployed = False
 
         # --- components ------------------------------------------------
-        self.queue = InputQueue(capacity=config.queue_capacity)
-        self.admission = AdmissionStage(self.queue, capacity=config.queue_capacity)
+        self.queue = InputQueue()
+        self.admission = AdmissionStage(self.queue)
         self.window_assign = WindowAssignStage(query.new_assigner(), self.queue)
         if degree > 1:
             self.parallel: Optional[WindowParallelOperator] = WindowParallelOperator(
@@ -204,14 +203,11 @@ class QueryChain:
             *(egress_stages or []),
         ]
         self.stages: List[Stage] = [*self.ingress, *self.egress]
-        # hot-path dispatch: the per-event loops call prebound
-        # ``on_event`` methods instead of re-resolving stage attributes
-        # per event (the stage chain is fixed after construction); the
-        # batched loops do the same with ``process_batch``.  Enabling
-        # observability swaps these tuples for instrumented wrappers --
-        # disabled, they are identical to an uninstrumented chain.
-        self._ingress_dispatch = tuple(s.on_event for s in self.ingress)
-        self._egress_dispatch = tuple(s.on_event for s in self.egress)
+        # hot-path dispatch: prebound ``process_batch`` methods instead
+        # of re-resolving stage attributes per batch (the stage chain is
+        # fixed after construction).  Enabling observability swaps these
+        # tuples for instrumented wrappers -- disabled, they are
+        # identical to an uninstrumented chain.
         self._ingress_batch_dispatch = tuple(s.process_batch for s in self.ingress)
         self._egress_batch_dispatch = tuple(s.process_batch for s in self.egress)
 
@@ -406,44 +402,13 @@ class QueryChain:
     # ------------------------------------------------------------------
     # event path (shared by live mode and the simulation driver)
     # ------------------------------------------------------------------
-    def ingest(self, event: Event, now: float) -> bool:
-        """Run the ingress half; returns False when the event was vetoed."""
-        ctx = StageContext(event=event, now=now)
-        for on_event in self._ingress_dispatch:
-            if on_event(ctx) is False:
-                return False
-        return True
-
-    def process_item(self, item: QueuedItem, now: float) -> ProcessResult:
-        """Run the egress half over one dequeued item."""
-        ctx = StageContext(event=item.event, now=now, item=item)
-        for on_event in self._egress_dispatch:
-            if on_event(ctx) is False:
-                break
-        return ctx.result if ctx.result is not None else ProcessResult()
-
-    def drain(self, now: float) -> List[ComplexEvent]:
-        """Process every queued item (live mode's synchronous drain)."""
-        complex_events: List[ComplexEvent] = []
-        while self.queue:
-            item = self.queue.pop()
-            complex_events.extend(self.process_item(item, now).complex_events)
-        return complex_events
-
-    # ------------------------------------------------------------------
-    # micro-batched event path (amortized stage dispatch; detections are
-    # bit-identical and identically ordered vs the per-event path)
-    # ------------------------------------------------------------------
     def ingest_batch(self, batch: EventBatch) -> StageBatch:
-        """Run the ingress half over a whole micro-batch.
+        """Run the ingress half over a micro-batch of arrivals.
 
         Each ingress stage processes the batch in one
         :meth:`~repro.pipeline.stages.Stage.process_batch` call (custom
-        stages fall back to their per-event ``on_event``).  Requires an
-        unbounded queue: per-event admission interleaves enqueue and
-        drain, so capacity checks are only equivalent when they cannot
-        trigger -- the pipeline falls back to per-event execution when
-        a ``queue_capacity`` is configured.
+        stages fall back to their per-event ``on_event``); every
+        admitted event ends up on the input queue.
         """
         stage_batch = StageBatch.from_events(batch)
         for process_batch in self._ingress_batch_dispatch:
@@ -457,11 +422,10 @@ class QueryChain:
         into *segments* at window-closing items: completing a window
         updates the window-size predictor and may fire listeners (drift
         detection, adaptive retrain with a hot model swap), so the
-        decisions of later items must see that new state exactly as
-        they would per event.  Within a segment no such state change
-        can occur, and the shedding stage resolves every (event,
-        window) pair with one vectorized kernel pass.  Without live
-        shedding the whole batch is one segment.
+        decisions of later items must see that new state.  Within a
+        segment no such state change can occur, and the shedding stage
+        resolves every (event, window) pair with one vectorized kernel
+        pass.  Without live shedding the whole batch is one segment.
         """
         self.queue.consume_all()  # the batch's items leave the queue as one drain
         egress = self._egress_batch_dispatch
@@ -479,13 +443,24 @@ class QueryChain:
             for process_batch in egress:
                 process_batch(segment)
 
+    def process_item(self, item: QueuedItem, now: float) -> ProcessResult:
+        """Run the egress half over one item the caller dequeued.
+
+        A batch of one is a single segment, so the egress stages run
+        over it directly; the queue is left to the caller.
+        """
+        ctx = StageContext(event=item.event, now=now, item=item)
+        batch = StageBatch([ctx])
+        for process_batch in self._egress_batch_dispatch:
+            process_batch(batch)
+        return ctx.result if ctx.result is not None else ProcessResult()
+
     def run_batch(self, batch: EventBatch) -> StageBatch:
         """Ingest and immediately drain one micro-batch (synchronous mode).
 
         The queue exists only within this call, so the backpressure
-        metric is reconciled to its per-event equivalent: interleaved
-        execution never sees more than one item queued, and the staging
-        depth of the batch must not masquerade as backlog.
+        metric counts one queued item at most: the staging depth of
+        the batch must not masquerade as backlog.
         """
         assign_stage = self.window_assign
         depth_before = assign_stage.max_queue_depth
@@ -544,11 +519,10 @@ class QueryChain:
         return chain_metrics(self)
 
     def backpressure(self) -> Dict[str, object]:
-        """Queue depth and rejection counters of this chain."""
+        """Current and high-water queue depth of this chain."""
         return {
             "queue_depth": self.queue.size,
             "max_queue_depth": self.window_assign.max_queue_depth,
-            "rejected": self.admission.rejected + self.window_assign.rejected,
         }
 
 
@@ -569,14 +543,9 @@ class Pipeline:
         # observability bundle (repro.obs.Observability) when enabled
         self.observability = None
         self._obs_collector = None
-        # live-mode micro-batcher (size-or-linger); None = per-event
-        # feeds.  Bounded queues need per-event admission, so batching
-        # only engages on unbounded pipelines.
-        self._feed_batcher: Optional[MicroBatcher] = (
-            MicroBatcher(config.batch_size, config.linger)
-            if config.batch_size > 1 and config.queue_capacity is None
-            else None
-        )
+        # live-mode micro-batcher (size-or-linger); batch size 1
+        # ships every event as soon as it is added
+        self._feed_batcher = MicroBatcher(config.batch_size, config.linger)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -666,31 +635,16 @@ class Pipeline:
 
         Time advances with the event's timestamp (or an explicit
         ``now``); periodic stage duty runs on the configured check
-        interval.  Returns the complex events each query detected as a
-        consequence of this event.
-
-        With a configured micro-batch (``.batch(batch_size, linger)``)
-        the event is buffered instead and the whole batch is processed
-        -- with identical detections, in identical order -- once it
-        fills, lingers out, or a detector tick is due; the return value
-        then carries the flushed batch's detections (usually empty for
-        buffering calls).  :meth:`flush_pending` forces the buffer
-        through.
+        interval.  The event joins the live micro-batch
+        (``.batch(batch_size, linger)``, default size 1), which is
+        processed once it fills, lingers out, or a detector tick is
+        due.  Returns the complex events each query detected in the
+        batch this call flushed (empty while buffering).
+        :meth:`flush_pending` forces the buffer through.
         """
         at = now if now is not None else event.timestamp
         if at > self._last_fed:
             self._last_fed = at
-        if self._feed_batcher is not None:
-            return self._feed_batched(event, at)
-        self._advance_ticks(at)
-        out: Dict[str, List[ComplexEvent]] = {}
-        for chain in self.chains:
-            admitted = chain.ingest(event, at)
-            out[chain.query.name] = chain.drain(at) if admitted else []
-        self._events_fed += 1
-        return out
-
-    def _feed_batched(self, event: Event, at: float) -> Dict[str, List[ComplexEvent]]:
         batcher = self._feed_batcher
         out = {chain.query.name: [] for chain in self.chains}
         if (
@@ -700,7 +654,7 @@ class Pipeline:
             and self._ticks_observable()
         ):
             # a due tick is a batch boundary: buffered events must be
-            # processed before detector duty runs, like per-event mode
+            # processed before detector duty runs
             self._collect_batch(batcher.take(), out)
         self._advance_ticks(at)
         self._collect_batch(batcher.add(event, at), out)
@@ -746,13 +700,12 @@ class Pipeline:
     def flush_pending(self) -> Dict[str, List[ComplexEvent]]:
         """Process whatever the live micro-batcher still buffers.
 
-        No-op (empty result) without batching or with an empty buffer.
-        Call at the end of a feed session -- or whenever a downstream
-        consumer must observe everything fed so far.
+        No-op (empty result) with an empty buffer.  Call at the end of
+        a feed session -- or whenever a downstream consumer must
+        observe everything fed so far.
         """
         out = {chain.query.name: [] for chain in self.chains}
-        if self._feed_batcher is not None:
-            self._collect_batch(self._feed_batcher.take(), out)
+        self._collect_batch(self._feed_batcher.take(), out)
         return out
 
     def _collect_batch(
@@ -791,11 +744,16 @@ class Pipeline:
         this equals the ground truth of an unconstrained operator.
         Returns everything collected since the previous ``run``.
 
-        ``batch_size`` overrides the configured micro-batch size for
-        this replay (``None`` uses ``config.batch_size``).  Batched
-        replays produce bit-identical, identically ordered detections;
-        a bounded queue forces the per-event path (its admission checks
-        interleave enqueue and drain).
+        Events travel in micro-batches of ``batch_size`` (``None`` uses
+        ``config.batch_size``); detections do not depend on the size.
+        Each event keeps its own clock, detector ticks force a flush
+        before they fire, and the egress splits at window completions
+        (see :meth:`QueryChain.process_batch`).  When no stage has
+        periodic duty (no overload detector, no tick-driven custom
+        stage) ticks are provably no-ops, so neither the flushes nor
+        the tick bookkeeping run at all -- otherwise every due tick
+        would cap the effective batch at ``check_interval``'s worth of
+        events.
         """
         for chain in self.chains:
             chain.emit.drain_collected()
@@ -805,79 +763,35 @@ class Pipeline:
             # with retention already on: their detections join this
             # run's result instead of being silently dropped
             self.flush_pending()
-            bsize = self.config.batch_size if batch_size is None else batch_size
-            if bsize > 1 and self.config.queue_capacity is None:
-                return self._run_batched(stream, bsize, self.config.linger)
             fed_before = self._events_fed
             chains = self.chains
             last = 0.0
-            # tighter per-event loop than feed(): detections accumulate
-            # in the emit stages, so no per-event result dict is built
-            for event in stream:
-                last = event.timestamp
-                self._advance_ticks(last)
-                for chain in chains:
-                    if chain.ingest(event, last):
-                        queue = chain.queue
-                        while queue:
-                            chain.process_item(queue.pop(), last)
-                self._events_fed += 1
+            batcher = MicroBatcher(
+                self.config.batch_size if batch_size is None else batch_size,
+                self.config.linger,
+            )
+            if self._ticks_observable():
+                for event in stream:
+                    last = event.timestamp
+                    if self._next_tick is not None and self._next_tick <= last:
+                        self._flush_run_batch(batcher.take())
+                    self._advance_ticks(last)
+                    self._flush_run_batch(batcher.add(event, last))
+            else:
+                add = batcher.add
+                flush = self._flush_run_batch
+                for event in stream:
+                    last = event.timestamp
+                    flush(add(event, last))
+                self._next_tick = None  # re-anchor: no tick was observable
+            self._flush_run_batch(batcher.take())
             matches = {}
-            for chain in self.chains:
+            for chain in chains:
                 chain.flush(now=last)
                 matches[chain.query.name] = chain.emit.drain_collected()
         finally:
             for chain in self.chains:
                 chain.emit.retain = False
-        return PipelineResult(
-            matches=matches,
-            metrics=self.metrics(),
-            events_fed=self._events_fed - fed_before,
-        )
-
-    def _run_batched(
-        self, stream: Iterable[Event], batch_size: int, linger: float
-    ) -> PipelineResult:
-        """Micro-batched replay: stage dispatch amortized per batch.
-
-        Equivalence with the per-event loop is structural: per-event
-        clocks travel with the batch, detector ticks force a flush
-        before they fire, and the egress splits at window completions
-        (see :meth:`QueryChain.process_batch`).  When no stage has
-        periodic duty (no overload detector, no tick-driven custom
-        stage) ticks are provably no-ops, so neither the flushes nor
-        the tick bookkeeping run at all -- otherwise every due tick
-        would cap the effective batch at ``check_interval``'s worth of
-        events.
-
-        Called by :meth:`run` only, inside its retain window (the
-        caller drains stale collections, sets ``emit.retain`` and
-        resets it afterwards).
-        """
-        fed_before = self._events_fed
-        chains = self.chains
-        last = 0.0
-        ticks = self._ticks_observable()
-        batcher = MicroBatcher(batch_size, linger)
-        if ticks:
-            for event in stream:
-                last = event.timestamp
-                if self._next_tick is not None and self._next_tick <= last:
-                    self._flush_run_batch(batcher.take())
-                self._advance_ticks(last)
-                self._flush_run_batch(batcher.add(event, last))
-        else:
-            add = batcher.add
-            flush = self._flush_run_batch
-            for event in stream:
-                last = event.timestamp
-                flush(add(event, last))
-            self._next_tick = None  # re-anchor: no tick was observable
-        self._flush_run_batch(batcher.take())
-        matches = {}
-        for chain in chains:
-            chain.flush(now=last)
-            matches[chain.query.name] = chain.emit.drain_collected()
         return PipelineResult(
             matches=matches,
             metrics=self.metrics(),

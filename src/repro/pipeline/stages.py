@@ -18,13 +18,15 @@ halves itself, which is how the same chain serves both push-based
 ingestion and deterministic replay.
 
 Every stage implements the common :class:`Stage` protocol --
-``on_event`` / ``process_batch`` / ``on_tick`` / ``metrics`` -- so
-cross-cutting concerns (rate limiting, sampling, logging, ...) drop
-into the chain exactly like framework middleware; :class:`RateLimitStage`,
+``process_batch`` / ``on_tick`` / ``metrics`` -- so cross-cutting
+concerns (rate limiting, sampling, logging, ...) drop into the chain
+exactly like framework middleware; :class:`RateLimitStage`,
 :class:`SamplingStage` and :class:`LoggingStage` are ready-made
-examples.  ``process_batch`` is the micro-batched hot path (see
-:mod:`repro.pipeline.batching`); its default implementation loops
-``on_event``, so a custom stage needs nothing extra to stay correct.
+examples.  The chain always runs micro-batches (see
+:mod:`repro.pipeline.batching`); a single event is a batch of one.
+The core stages implement only ``process_batch``.  Custom stages may
+implement the simpler per-event ``on_event`` instead: the base
+``process_batch`` loops it over the batch in stream order.
 """
 
 from __future__ import annotations
@@ -53,9 +55,8 @@ class StageContext:
 
     Ingress stages read/replace :attr:`event` and may veto it; the
     window-assign stage fills :attr:`item`; egress stages fill
-    :attr:`drops` and :attr:`result`.  :attr:`stopped` is the batched
-    path's veto marker: once a stage stops a context, every later stage
-    skips it (the per-event path short-circuits the loop instead).
+    :attr:`drops` and :attr:`result`.  :attr:`stopped` is the veto
+    marker: once a stage stops a context, every later stage skips it.
     """
 
     __slots__ = ("event", "now", "item", "drops", "result", "stopped")
@@ -75,12 +76,13 @@ class StageContext:
 
 
 class Stage:
-    """Base middleware stage: ``on_event`` / ``on_tick`` / ``metrics``.
+    """Base middleware stage: ``process_batch`` / ``on_tick`` / ``metrics``.
 
-    ``on_event`` returns ``False`` to stop the chain for this event
-    (admission reject, sampling drop, rate limit, ...); anything else
-    continues.  ``on_tick`` receives the advancing (virtual or event)
-    time so periodic work -- overload checks, token refills -- happens
+    Custom stages usually override the per-event adapter ``on_event``
+    instead of ``process_batch``: it returns ``False`` to stop the
+    chain for this event (sampling drop, rate limit, ...); anything
+    else continues.  ``on_tick`` receives the advancing (virtual or
+    event) time so periodic work -- overload checks, token refills -- happens
     without piggybacking on event arrivals.  ``metrics`` reports the
     stage's counters; the pipeline aggregates them per query chain, so
     backpressure and drop behaviour are observable per stage.
@@ -97,10 +99,10 @@ class Stage:
     def process_batch(self, batch: "StageBatch") -> None:
         """Process a micro-batch of contexts (see :mod:`.batching`).
 
-        The default loops :meth:`on_event` over the batch's live
-        contexts in stream order -- custom stages that never heard of
-        batching keep their exact per-event semantics, vetoes included.
-        Core stages override this with amortized implementations.
+        This is the only entry point the chain calls.  The default
+        loops :meth:`on_event` over the batch's live contexts in stream
+        order, so a custom stage written per event keeps its exact
+        semantics, vetoes included.  The core stages override it.
         """
         on_event = self.on_event
         for ctx in batch.contexts:
@@ -118,44 +120,23 @@ class Stage:
 # the five core stages
 # ----------------------------------------------------------------------
 class AdmissionStage(Stage):
-    """Entry of the chain: arrival accounting and admission control.
+    """Entry of the chain: arrival accounting.
 
-    Counts every offered event, feeds the overload detector's
-    input-rate estimator, and -- when a queue capacity is configured --
-    rejects events that would overflow the queue (reported as
-    backpressure instead of unbounded latency growth).
+    Counts every offered event and feeds the overload detector's
+    input-rate estimator.
     """
 
     name = "admission"
 
-    __slots__ = ("queue", "capacity", "detector", "arrivals", "rejected")
+    __slots__ = ("queue", "detector", "arrivals")
 
-    def __init__(
-        self, queue: InputQueue, capacity: Optional[int] = None
-    ) -> None:
-        if capacity is not None and capacity <= 0:
-            raise ValueError("queue capacity must be positive")
+    def __init__(self, queue: InputQueue) -> None:
         self.queue = queue
-        self.capacity = capacity
         self.detector: Optional[OverloadDetector] = None
         self.arrivals = 0
-        self.rejected = 0
 
-    def on_event(self, ctx: StageContext) -> bool:
-        self.arrivals += 1
-        if self.capacity is not None and self.queue.size >= self.capacity:
-            self.rejected += 1
-            return False
-        if self.detector is not None:
-            self.detector.record_arrival(ctx.now)
-        return True
-
+    # repro-lint: parity-tested
     def process_batch(self, batch: "StageBatch") -> None:
-        if self.capacity is not None:
-            # bounded queues are driven per event (the pipeline falls
-            # back before batching; this guard keeps direct callers safe)
-            super().process_batch(batch)
-            return
         self.arrivals += len(batch.contexts)
         if self.detector is not None:
             record = self.detector.record_arrival
@@ -163,11 +144,7 @@ class AdmissionStage(Stage):
                 record(ctx.now)
 
     def metrics(self) -> Dict[str, object]:
-        return {
-            "arrivals": self.arrivals,
-            "rejected": self.rejected,
-            "queue_depth": self.queue.size,
-        }
+        return {"arrivals": self.arrivals, "queue_depth": self.queue.size}
 
 
 class WindowAssignStage(Stage):
@@ -187,7 +164,6 @@ class WindowAssignStage(Stage):
         "queue",
         "assigned_memberships",
         "windows_closed",
-        "rejected",
         "max_queue_depth",
     )
 
@@ -196,25 +172,9 @@ class WindowAssignStage(Stage):
         self.queue = queue
         self.assigned_memberships = 0
         self.windows_closed = 0
-        self.rejected = 0
         self.max_queue_depth = 0
 
-    def on_event(self, ctx: StageContext) -> bool:
-        assignment = self.assigner.on_event(ctx.event)
-        ctx.item = QueuedItem(
-            event=ctx.event,
-            refs=assignment.assignments,
-            closed_windows=assignment.closed,
-            enqueue_time=ctx.now,
-        )
-        self.assigned_memberships += len(assignment.assignments)
-        self.windows_closed += len(assignment.closed)
-        if not self.queue.push(ctx.item):
-            self.rejected += 1
-            return False
-        self.max_queue_depth = max(self.max_queue_depth, self.queue.size)
-        return True
-
+    # repro-lint: parity-tested
     def process_batch(self, batch: "StageBatch") -> None:
         live = [ctx for ctx in batch.contexts if not ctx.stopped]
         assignments = self.assigner.on_events([ctx.event for ctx in live])
@@ -231,13 +191,11 @@ class WindowAssignStage(Stage):
             ctx.item = item
             memberships += len(assignment.assignments)
             closed += len(assignment.closed)
-            if not push(item):
-                self.rejected += 1
-                ctx.stopped = True
+            push(item)
         self.assigned_memberships += memberships
         self.windows_closed += closed
-        # the queue only grows during batched ingress, so the depth
-        # after the last push is the batch's maximum
+        # the queue only grows during ingress, so the depth after the
+        # last push is the batch's maximum
         if self.queue.size > self.max_queue_depth:
             self.max_queue_depth = self.queue.size
 
@@ -249,7 +207,6 @@ class WindowAssignStage(Stage):
         return {
             "memberships": self.assigned_memberships,
             "windows_closed": self.windows_closed,
-            "rejected": self.rejected,
             "max_queue_depth": self.max_queue_depth,
         }
 
@@ -286,11 +243,7 @@ class SheddingStage(Stage):
         self.operator: Optional[CEPOperator] = None
         self.queue: Optional[InputQueue] = None
 
-    def on_event(self, ctx: StageContext) -> bool:
-        if self.per_event and self.shedder is not None and self.operator is not None:
-            ctx.drops = self.operator.decide(ctx.item, shedder=self.shedder)
-        return True
-
+    # repro-lint: parity-tested
     def process_batch(self, batch: "StageBatch") -> None:
         """Resolve every (event, window) pair of the batch in one pass.
 
@@ -342,10 +295,7 @@ class MatchStage(Stage):
     def __init__(self, operator: CEPOperator) -> None:
         self.operator = operator
 
-    def on_event(self, ctx: StageContext) -> bool:
-        ctx.result = self.operator.apply(ctx.item, ctx.drops, now=ctx.now)
-        return True
-
+    # repro-lint: parity-tested
     def process_batch(self, batch: "StageBatch") -> None:
         apply = self.operator.apply
         for ctx in batch.contexts:
@@ -434,11 +384,7 @@ class EmitStage(Stage):
     def subscribe(self, sink: EventSink) -> None:
         self.sinks.append(sink)
 
-    def on_event(self, ctx: StageContext) -> bool:
-        if ctx.result is not None and ctx.result.complex_events:
-            self.dispatch(ctx.result.complex_events)
-        return True
-
+    # repro-lint: parity-tested
     def process_batch(self, batch: "StageBatch") -> None:
         dispatch = self.dispatch
         for ctx in batch.contexts:

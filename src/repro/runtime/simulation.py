@@ -239,9 +239,6 @@ def simulate_pipeline(
     arrival_interval = 1.0 / config.input_rate
     arrival_index = 0
     now = 0.0
-    # arrivals can be ingested as micro-batches only when admission
-    # cannot veto by queue depth (rejections depend on interleaving)
-    batched_ingress = pipeline.config.queue_capacity is None
 
     def _arrival_time(index: int) -> float:
         if arrival_times is not None:
@@ -275,13 +272,6 @@ def simulate_pipeline(
             continue
 
         if next_arrival <= next_process:
-            if not batched_ingress:
-                event = stream[arrival_index]
-                for ci, chain in enumerate(chains):
-                    chain.ingest(event, now)
-                    max_queue[ci] = max(max_queue[ci], chain.queue.size)
-                arrival_index += 1
-                continue
             # a maximal run of arrivals nothing can interleave: under
             # overload the operator is busy (free_at ahead of the
             # arrival clock), so whole bursts of arrivals are due
@@ -291,7 +281,8 @@ def simulate_pipeline(
             # a lower bound on the earliest possible start (head
             # enqueue times only grow during the run), so batching is
             # conservative: any event that *could* tie with processing
-            # still wins the tie, exactly like the per-event schedule.
+            # still wins the tie, exactly like a schedule that admits
+            # one arrival per step.  A run of one is a batch of one.
             bound = _INFINITY
             for ci, chain in enumerate(chains):
                 head = chain.queue.peek()
@@ -311,18 +302,14 @@ def simulate_pipeline(
                 run.append(stream[arrival_index], t)
                 arrival_index += 1
             now = run.nows[-1]
-            if len(run.events) == 1:
-                event = run.events[0]
-                for ci, chain in enumerate(chains):
-                    chain.ingest(event, now)
-                    max_queue[ci] = max(max_queue[ci], chain.queue.size)
-            else:
-                for ci, chain in enumerate(chains):
-                    chain.ingest_batch(run)
-                    max_queue[ci] = max(max_queue[ci], chain.queue.size)
+            for ci, chain in enumerate(chains):
+                chain.ingest_batch(run)
+                max_queue[ci] = max(max_queue[ci], chain.queue.size)
             continue
 
-        # the chain's operator picks its head item
+        # the chain's operator picks its head item: egress runs one
+        # item at a time because the cost model prices each item by
+        # the memberships the shedder kept
         chain = chains[process_chain]
         item = chain.queue.pop()
         start = max(free_at[process_chain], item.enqueue_time)

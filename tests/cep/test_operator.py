@@ -117,6 +117,29 @@ class TestDetectAll:
         detected = operator.detect_all(stream_of("X", "X", "A", "B"))
         assert [c.window_id for c in detected] == [1]
 
+    def test_end_of_stream_flush_stamped_at_last_event(self):
+        """Still-open windows flush at the last event's timestamp, the
+        clock ``Pipeline.run`` stamps the same detections with."""
+        from repro.pipeline import Pipeline
+
+        query = Query(
+            name="q",
+            pattern=seq("q", spec("A"), spec("B")),
+            window_factory=lambda: CountSlidingWindows(6, slide=2),
+        )
+        builder = StreamBuilder(rate=50.0)
+        builder.emit_many(list("XXXXXXXAB"))
+        stream = builder.stream
+        detected = CEPOperator(query).detect_all(stream)
+        assert detected
+        assert [c.detection_time for c in detected] == [stream[-1].timestamp] * len(
+            detected
+        )
+        replayed = Pipeline.builder().query(query).build().run(stream)
+        assert [(c.key, c.detection_time) for c in replayed.complex_events] == [
+            (c.key, c.detection_time) for c in detected
+        ]
+
 
 class TestShedding:
     def test_shedder_drops_memberships(self):

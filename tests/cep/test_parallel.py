@@ -49,6 +49,17 @@ class TestEquivalenceToSequential:
         )
         assert [c.key for c in parallel] == [c.key for c in sequential]
 
+    def test_end_of_stream_flush_stamped_like_sequential(self):
+        builder = StreamBuilder(rate=10.0)
+        builder.emit_many(["X", "A", "B"])  # the size-4 window stays open
+        stream = builder.stream
+        sequential = CEPOperator(tumbling_query()).detect_all(stream)
+        parallel = WindowParallelOperator(tumbling_query(), degree=2).detect_all(stream)
+        assert sequential
+        assert [(c.key, c.detection_time) for c in parallel] == [
+            (c.key, c.detection_time) for c in sequential
+        ]
+
     @pytest.mark.parametrize("degree", [1, 2, 4])
     def test_shedding_invariant_in_degree(self, degree):
         # the paper's claim: eSPICE is independent of the parallelism

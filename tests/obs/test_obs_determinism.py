@@ -61,6 +61,19 @@ class TestSequential:
         assert snapshot["repro_events_total"]["samples"][0]["value"] == len(live)
         assert len(obs.tracer) > 0
 
+    def test_every_closed_window_is_traced_under_overload(self, soccer):
+        """Under overload the simulation ingests arrivals ahead of the
+        one-item egress; every window an arrival closed must still be
+        traced exactly once when its item is processed."""
+        train, live = soccer
+        pipeline = build_deployed(train)
+        obs = pipeline.enable_observability()
+        overloaded_keys(pipeline, live)
+        chain = pipeline.chains[0]
+        window_sizes = obs.window_size.labels(query=chain.query.name)
+        window_sizes.flush_pending()
+        assert window_sizes.count == chain.window_assign.windows_closed > 0
+
     def test_every_dropped_window_carries_explanations(self, soccer):
         train, live = soccer
         pipeline = build_deployed(train, batch_size=64)
@@ -87,11 +100,14 @@ class TestSequential:
         train, _live = soccer
         pipeline = build_deployed(train)
         chain = pipeline.chains[0]
-        plain = chain._ingress_dispatch
+        plain_ingress = chain._ingress_batch_dispatch
+        plain_egress = chain._egress_batch_dispatch
         pipeline.enable_observability()
-        assert chain._ingress_dispatch != plain
+        assert chain._ingress_batch_dispatch != plain_ingress
+        assert chain._egress_batch_dispatch != plain_egress
         pipeline.disable_observability()
-        assert chain._ingress_dispatch == plain
+        assert chain._ingress_batch_dispatch == plain_ingress
+        assert chain._egress_batch_dispatch == plain_egress
         assert pipeline.observability is None
 
 

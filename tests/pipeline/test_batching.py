@@ -1,10 +1,12 @@
 """Micro-batched execution equals per-event execution, bit for bit.
 
-The batched event path may only change *constants*: for every batch
-size, detections (contents, order, detection times), shedder counters
-and retrain behaviour must be identical to per-event execution --
-including when window opens/closes, drift signals and hot model swaps
-land in the middle of a batch.
+The batch is the pipeline's only execution path, so the per-event
+reference is the operator's own loop: ``CEPOperator.detect_all``
+(window assignment -> ``decide`` -> ``apply`` per event).  For every
+batch size, detections (contents, order, detection times), shedder
+counters and retrain behaviour must equal that reference -- including
+when window opens/closes, drift signals and hot model swaps land in
+the middle of a batch.
 """
 
 import random
@@ -14,11 +16,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cep.events import StreamBuilder
+from repro.cep.operator.operator import CEPOperator
 from repro.cep.patterns import seq, spec
 from repro.cep.patterns.query import Query
 from repro.cep.windows import CountSlidingWindows, PredicateWindows
+from repro.core.adaptive import AdaptiveController
 from repro.core.kernel import HAVE_NUMPY
-from repro.pipeline import EventBatch, MicroBatcher, Pipeline, SamplingStage
+from repro.pipeline import (
+    AdmissionStage,
+    EmitStage,
+    EventBatch,
+    MatchStage,
+    MicroBatcher,
+    Pipeline,
+    SamplingStage,
+    SheddingStage,
+    WindowAssignStage,
+)
 from repro.pipeline.batching import iter_batches
 from repro.shedding.base import DropCommand
 
@@ -56,6 +70,28 @@ def synth_stream(symbols, rate=50.0):
 
 def keys_and_times(complex_events):
     return [(c.key, c.detection_time) for c in complex_events]
+
+
+def operator_reference(query, stream, shedder=None, prime=None, listener=None):
+    """Detections of the operator's per-event loop (no pipeline).
+
+    ``prime`` seeds the window-size predictor like ``deploy()`` does
+    (weight 10); ``listener`` is attached as a window listener.
+    """
+    operator = CEPOperator(query, shedder=shedder)
+    if prime is not None:
+        operator.prime_window_size(prime, weight=10)
+    if listener is not None:
+        operator.add_window_listener(listener)
+    return operator.detect_all(stream)
+
+
+def test_core_stages_have_no_per_event_twin():
+    """The core stages implement only ``process_batch``; their parity
+    reference is the operator loop this module compares against."""
+    for cls in (AdmissionStage, WindowAssignStage, SheddingStage, MatchStage, EmitStage):
+        assert "process_batch" in vars(cls)
+        assert "on_event" not in vars(cls)
 
 
 # ----------------------------------------------------------------------
@@ -119,14 +155,12 @@ class TestUnsheddedEquivalence:
     def test_run_equals_per_event(self, batch_size, make_query):
         symbols = random.Random(1).choices(["A", "B", "C", "X"], k=400)
         stream = synth_stream(symbols)
-        reference = Pipeline.builder().query(make_query()).build().run(stream)
+        reference = operator_reference(make_query(), stream)
         batched = (
             Pipeline.builder().query(make_query()).batch(batch_size).build()
         ).run(stream)
-        assert keys_and_times(batched.complex_events) == keys_and_times(
-            reference.complex_events
-        )
-        assert batched.events_fed == reference.events_fed
+        assert keys_and_times(batched.complex_events) == keys_and_times(reference)
+        assert batched.events_fed == len(stream)
 
     @given(
         batch_size=st.sampled_from(BATCH_SIZES),
@@ -140,53 +174,52 @@ class TestUnsheddedEquivalence:
     def test_property_windows_mid_batch(self, batch_size, symbols, window, slide):
         """Hypothesis: any stream, any sliding windows, any batch size."""
 
-        def make():
-            return Pipeline.builder().query(
-                count_query(window=window, slide=slide)
-            )
-
+        query = count_query(window=window, slide=slide)
         stream = synth_stream(symbols)
-        reference = make().build().run(stream)
-        batched = make().batch(batch_size).build().run(stream)
-        assert keys_and_times(batched.complex_events) == keys_and_times(
-            reference.complex_events
+        reference = operator_reference(query, stream)
+        batched = (
+            Pipeline.builder().query(query).batch(batch_size).build().run(stream)
         )
+        assert keys_and_times(batched.complex_events) == keys_and_times(reference)
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     def test_feed_equals_per_event_feed(self, batch_size):
         symbols = random.Random(2).choices(["A", "B", "C"], k=300)
         stream = synth_stream(symbols)
-        per_event = Pipeline.builder().query(count_query()).build()
+        reference = operator_reference(count_query(), stream)
         batched = (
             Pipeline.builder().query(count_query()).batch(batch_size).build()
         )
-        a, b = [], []
+        fed = []
         for event in stream:
-            a.extend(per_event.feed(event)["cq"])
-            b.extend(batched.feed(event)["cq"])
-        b.extend(batched.flush_pending()["cq"])
-        assert keys_and_times(a) == keys_and_times(b)
+            fed.extend(batched.feed(event)["cq"])
+        fed.extend(batched.finish()["cq"])
+        assert keys_and_times(fed) == keys_and_times(reference)
 
     def test_custom_stage_veto_mid_batch(self):
-        """A vetoing custom ingress stage must shadow later stages
-        identically in both modes (same RNG draw order)."""
+        """A vetoing custom ingress stage must shadow later stages at
+        every batch size exactly like filtering the stream first (same
+        RNG draw order)."""
         symbols = random.Random(3).choices(["A", "B", "C"], k=300)
         stream = synth_stream(symbols)
+        sampler = random.Random(5)
+        kept = [event for event in stream if sampler.random() < 0.7]
+        # run() flushes open windows at the last *offered* event's
+        # clock, the reference at the last kept one: the two agree
+        # only when the final event survives sampling
+        assert kept[-1] is stream[-1]
+        reference = operator_reference(count_query(), kept)
 
-        def build(batch_size):
-            return (
+        for batch_size in BATCH_SIZES:
+            batched = (
                 Pipeline.builder()
                 .query(count_query())
                 .stage(SamplingStage(keep_probability=0.7, seed=5))
                 .batch(batch_size)
                 .build()
-            )
-
-        reference = build(1).run(stream)
-        for batch_size in (2, 7, 64):
-            batched = build(batch_size).run(stream)
+            ).run(stream)
             assert keys_and_times(batched.complex_events) == keys_and_times(
-                reference.complex_events
+                reference
             )
 
     def test_run_keeps_pending_feed_detections(self):
@@ -200,48 +233,25 @@ class TestUnsheddedEquivalence:
             fed.extend(pipeline.feed(event)["cq"])
         assert fed == []  # everything is still buffered (batch of 1000)
         result = pipeline.run(synth_stream([]))
-        reference = Pipeline.builder().query(count_query()).build().run(stream)
+        reference = operator_reference(count_query(), stream)
         # identical detections in identical order (detection *times* of
         # the end-of-stream flush differ: the empty run stream cannot
         # know the feed clock)
         assert [c.key for c in result.complex_events] == [
-            c.key for c in reference.complex_events
+            c.key for c in reference
         ]
 
     def test_batched_backpressure_reports_no_phantom_backlog(self):
         """The staging depth of a synchronous micro-batch is not
-        backlog: max_queue_depth must match per-event execution."""
+        backlog: a synchronous run never has more than one item
+        queued, whatever the batch size."""
         symbols = ["A", "B", "C"] * 40
-        per_event = Pipeline.builder().query(count_query()).build()
-        per_event.run(synth_stream(symbols))
-        batched = Pipeline.builder().query(count_query()).batch(64).build()
-        batched.run(synth_stream(symbols))
-        assert (
-            batched.backpressure()["cq"]["max_queue_depth"]
-            == per_event.backpressure()["cq"]["max_queue_depth"]
-            == 1
-        )
-
-    def test_bounded_queue_forces_per_event(self):
-        """queue_capacity admission depends on drain interleaving, so a
-        batched config must quietly run per event and stay identical."""
-        symbols = ["A", "B", "C"] * 60
-        stream = synth_stream(symbols)
-
-        def build(batch_size):
-            return (
-                Pipeline.builder()
-                .query(count_query())
-                .queue_capacity(1)
-                .batch(batch_size)
-                .build()
+        for batch_size in BATCH_SIZES:
+            pipeline = (
+                Pipeline.builder().query(count_query()).batch(batch_size).build()
             )
-
-        reference = build(1).run(stream)
-        batched = build(64).run(stream)
-        assert keys_and_times(batched.complex_events) == keys_and_times(
-            reference.complex_events
-        )
+            pipeline.run(synth_stream(symbols))
+            assert pipeline.backpressure()["cq"]["max_queue_depth"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -261,8 +271,8 @@ class TestSheddedEquivalence:
     def workload(self):
         return soccer_fixture()
 
-    def _run(self, workload, batch_size, backend):
-        query, train, live = workload
+    def _deploy(self, workload, batch_size):
+        query, train, _live = workload
         pipeline = (
             Pipeline.builder()
             .query(query)
@@ -274,23 +284,31 @@ class TestSheddedEquivalence:
         pipeline.train(train)
         pipeline.deploy(expected_throughput=800.0, expected_input_rate=1200.0)
         shedder = pipeline.chains[0].shedder
-        shedder._kernel_backend = backend
         psize = pipeline.model.reference_size / 4
         shedder.on_drop_command(
             DropCommand(x=0.25 * psize, partition_count=4, partition_size=psize)
         )
         shedder.activate()
-        result = pipeline.run(live)
-        return result, shedder
+        return pipeline, shedder
+
+    def _reference(self, workload):
+        """The same deployment's shedder, driven by the operator loop."""
+        query, _train, live = workload
+        pipeline, shedder = self._deploy(workload, 1)
+        detections = operator_reference(
+            query, live, shedder=shedder, prime=pipeline.model.reference_size
+        )
+        return detections, shedder
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     def test_active_shedding_is_batch_invariant(self, workload, batch_size, backend):
-        reference, ref_shedder = self._run(workload, 1, None)
-        batched, shedder = self._run(workload, batch_size, backend)
-        assert keys_and_times(batched.complex_events) == keys_and_times(
-            reference.complex_events
-        )
+        reference, ref_shedder = self._reference(workload)
+        pipeline, shedder = self._deploy(workload, batch_size)
+        shedder._kernel_backend = backend
+        batched = pipeline.run(workload[2])
+        assert ref_shedder.drops > 0  # the drop command actually sheds
+        assert keys_and_times(batched.complex_events) == keys_and_times(reference)
         # decision/drop accounting is part of the contract
         assert shedder.decisions == ref_shedder.decisions
         assert shedder.drops == ref_shedder.drops
@@ -331,20 +349,29 @@ class TestAdaptiveRetrainMidBatch:
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     def test_retrain_mid_batch_is_invariant(self, batch_size):
         stream = self._drifting_stream()
-        reference = self._build(1)
-        ref_result = reference.run(stream)
-        ref_retrains = reference.chains[0].controller.retrain_count
+        # reference: the same deployment's shedder on the operator
+        # loop, with its own controller hot-swapping the shedder's model
+        deployed = self._build(1)
+        chain = deployed.chains[0]
+        controller = AdaptiveController(
+            chain.model, chain.shedder, **chain.adaptive_options
+        )
+        reference = operator_reference(
+            chain.query,
+            stream,
+            shedder=chain.shedder,
+            prime=chain.model.reference_size,
+            listener=controller.observe,
+        )
 
         batched = self._build(batch_size)
         result = batched.run(stream)
-        assert keys_and_times(result.complex_events) == keys_and_times(
-            ref_result.complex_events
-        )
+        assert keys_and_times(result.complex_events) == keys_and_times(reference)
         # the hot swaps happened at the same windows, same count
-        assert batched.chains[0].controller.retrain_count == ref_retrains
+        assert batched.chains[0].controller.retrain_count == controller.retrain_count
         assert (
             batched.chains[0].shedder.model.fingerprint()
-            == reference.chains[0].shedder.model.fingerprint()
+            == chain.shedder.model.fingerprint()
         )
 
     def test_retrain_actually_fires(self):

@@ -41,7 +41,6 @@ class TestFluentConstruction:
             .latency_bound(2.0)
             .bin_size(4)
             .check_interval(0.05)
-            .queue_capacity(100)
             .build()
         )
         config = pipeline.config
@@ -50,7 +49,6 @@ class TestFluentConstruction:
         assert config.seed == 3
         assert config.bin_size == 4
         assert config.check_interval == 0.05
-        assert config.queue_capacity == 100
 
     def test_requires_a_query(self):
         with pytest.raises(ValueError, match="at least one query"):

@@ -117,8 +117,10 @@ class TestPipelineFlushEdgeCases:
         assert all(not v for v in pipeline.flush_pending().values())  # twice
 
     def test_flush_pending_without_batcher_is_noop(self):
-        pipeline = build_pipeline(batch_size=1)  # per-event path, no batcher
-        assert pipeline._feed_batcher is None
+        # batch size 1 ships every fed event at once: nothing stays buffered
+        pipeline = build_pipeline(batch_size=1)
+        pipeline.feed(ev(0, 0.0))
+        assert len(pipeline._feed_batcher) == 0
         assert all(not v for v in pipeline.flush_pending().values())
 
     def test_finish_on_fresh_pipeline_is_empty(self):
