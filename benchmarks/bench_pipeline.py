@@ -264,8 +264,8 @@ def test_cluster_batched_equivalence(report):
 
 
 def test_simulation_driver_overhead(report):
-    """Virtual-time driver: historical wrapper vs explicit pipeline."""
-    from repro.runtime.simulation import SimulationConfig, measure_mean_memberships, simulate
+    """Virtual-time driver: unshedded replay vs a trained eSPICE run."""
+    from repro.runtime.simulation import measure_mean_memberships
 
     train, stream = workloads.soccer_streams()
     query = build_q1(pattern_size=3)
@@ -273,14 +273,20 @@ def test_simulation_driver_overhead(report):
     n = len(stream)
 
     def runner():
-        config = SimulationConfig(
-            input_rate=1200.0,
-            throughput=1000.0,
-            mean_memberships=memberships,
-        )
-        wrapper_s, wrapper_out = _measure(
-            lambda: simulate(query, stream, config), repeats=2
-        )
+        def unshedded_run():
+            return (
+                Pipeline.builder()
+                .query(query)
+                .build()
+                .simulate(
+                    stream,
+                    input_rate=1200.0,
+                    throughput=1000.0,
+                    mean_memberships=memberships,
+                )
+            )
+
+        unshedded_s, unshedded_out = _measure(unshedded_run, repeats=2)
 
         def pipeline_run():
             pipeline = (
@@ -301,9 +307,9 @@ def test_simulation_driver_overhead(report):
 
         shedding_s, shedding_out = _measure(pipeline_run, repeats=2)
         return {
-            "unshedded_us_per_event": 1e6 * wrapper_s / n,
+            "unshedded_us_per_event": 1e6 * unshedded_s / n,
             "espice_us_per_event": 1e6 * shedding_s / n,
-            "unshedded_detections": wrapper_out.detections,
+            "unshedded_detections": unshedded_out.detections,
             "espice_detections": shedding_out.detections,
         }
 

@@ -12,19 +12,18 @@ use beyond the single experiment loop, all through the
 3. **multi-query fan-out**: two queries sharing one input stream in a
    single pipeline, with a **custom logging middleware stage** counting
    what flows in,
-4. a **window-parallel pipeline** (degree 4) sharing the shedder --
-   detections are identical to a sequential run, the paper's
-   parallelism-independence claim,
-5. **adaptive deployment**: a drift-watching controller wired in with
+4. **adaptive deployment**: a drift-watching controller wired in with
    ``.adaptive()`` (paper §3.6 future work),
-6. a two-stage **operator graph**: man-marking complex events feed a
+5. a two-stage **operator graph**: man-marking complex events feed a
    downstream "pressing spell" operator that detects bursts of marking,
    and
-7. a **sharded cluster deployment**: the same trained model executed
+6. a **sharded cluster deployment**: the same trained model executed
    across real worker processes via ``.distributed()``, with
    coordinated shedding and the cluster snapshot (per-shard
    utilization, queue depths, drop rates) a production dashboard would
-   scrape -- not just aggregate recall.
+   scrape -- not just aggregate recall.  Its detections are identical
+   to a sequential run under the same drop command, the paper's
+   parallelism-independence claim.
 
 Run:  python examples/production_pipeline.py
 """
@@ -95,44 +94,7 @@ def main() -> None:
         f"({logged} events through the logging middleware)"
     )
 
-    # -- 4. window-parallel pipeline, shared persisted model -------------
-    def shedding_pipeline(degree: int) -> Pipeline:
-        builder = (
-            Pipeline.builder()
-            .query(query)
-            .shedder("espice", f=0.8)
-            .latency_bound(1.0)
-            .bin_size(8)
-            .model(deployed)
-        )
-        if degree > 1:
-            builder.parallel(degree)
-        pipeline = builder.build()
-        pipeline.deploy()
-        chain = pipeline.chains[0]
-        plan = plan_partitions(deployed.reference_size, qmax=1000.0, f=0.8)
-        chain.shedder.on_drop_command(
-            DropCommand(
-                x=0.15 * plan.partition_size,
-                partition_count=plan.partition_count,
-                partition_size=plan.partition_size,
-            )
-        )
-        chain.shedder.activate()
-        return pipeline
-
-    sequential_out = shedding_pipeline(1).run(live).complex_events
-    parallel = shedding_pipeline(4)
-    parallel_out = parallel.run(live).complex_events
-    same = [c.key for c in sequential_out] == [c.key for c in parallel_out]
-    imbalance = parallel.metrics()[query.name]["match"]["load_imbalance"]
-    print(
-        f"degree-4 parallel run: {len(parallel_out)} complex events, "
-        f"identical to sequential: {same} "
-        f"(imbalance {imbalance:.2f})"
-    )
-
-    # -- 5. adaptive deployment (drift detection wired in) ---------------
+    # -- 4. adaptive deployment (drift detection wired in) ---------------
     adaptive = (
         Pipeline.builder()
         .query(query)
@@ -153,7 +115,7 @@ def main() -> None:
         f"{status.reason if status else 'n/a'}"
     )
 
-    # -- 6. two-stage operator graph --------------------------------------
+    # -- 5. two-stage operator graph --------------------------------------
     pressing = parse_query(
         # three man-marking detections within 90 s = a pressing spell
         "define PressingSpell from seq(ManMarking; ManMarking; ManMarking) "
@@ -169,27 +131,38 @@ def main() -> None:
         f"{totals['pressing']} pressing spells"
     )
 
-    # -- 7. sharded cluster with coordinated shedding ---------------------
+    # -- 6. sharded cluster with coordinated shedding ---------------------
+    def shedding_builder():
+        return (
+            Pipeline.builder()
+            .query(query)
+            .shedder("espice", f=0.8)
+            .latency_bound(1.0)
+            .bin_size(8)
+            .model(deployed)
+        )
+
+    plan = plan_partitions(deployed.reference_size, qmax=1000.0, f=0.8)
+    command = DropCommand(
+        x=0.15 * plan.partition_size,
+        partition_count=plan.partition_count,
+        partition_size=plan.partition_size,
+    )
+    # sequential reference: one process, the same static drop command
+    sequential = shedding_builder().build()
+    sequential.deploy()
+    sequential.chains[0].shedder.on_drop_command(command)
+    sequential.chains[0].shedder.activate()
+    sequential_out = sequential.run(live).complex_events
+
     sharded = (
-        Pipeline.builder()
-        .query(query)
-        .shedder("espice", f=0.8)
-        .latency_bound(1.0)
-        .bin_size(8)
-        .model(deployed)
+        shedding_builder()
         .distributed(shards=2, router="round-robin", batch_size=32)
         .build()
     )
     sharded.deploy()
-    plan = plan_partitions(deployed.reference_size, qmax=1000.0, f=0.8)
     with sharded:
-        sharded.broadcast_shedding(
-            DropCommand(
-                x=0.15 * plan.partition_size,
-                partition_count=plan.partition_count,
-                partition_size=plan.partition_size,
-            )
-        )
+        sharded.broadcast_shedding(command)
         clustered = sharded.run(live)
     same = [c.key for c in clustered.complex_events] == [
         c.key for c in sequential_out

@@ -105,10 +105,8 @@ class Router:
 class RoundRobinRouter(Router):
     """Windows cycle over shards in window-id order (paper deployment).
 
-    Uses ``window_id % shards`` -- the same dispatch rule as the
-    in-process :class:`~repro.cep.parallel.WindowParallelOperator`, so
-    a sharded run distributes windows exactly like the logical
-    parallel operator it replaces.
+    Uses ``window_id % shards``: window ids are issued in ascending
+    order, so consecutive windows land on consecutive shards.
     """
 
     name = "round-robin"

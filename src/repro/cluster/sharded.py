@@ -125,7 +125,8 @@ class _ChainState:
         self.collected: List[ComplexEvent] = []
 
     def predict(self, window) -> float:
-        """Update-then-predict, mirroring ``WindowParallelOperator``."""
+        """Update-then-predict: a complete, untruncated window joins
+        the running mean before the mean is read as its prediction."""
         if not window.truncated:
             self.size_sum += window.size
             self.size_count += 1
@@ -158,12 +159,6 @@ class ShardedPipeline:
         if checkpoint_interval <= 0:
             raise ValueError("checkpoint interval must be positive")
         for chain in pipeline.chains:
-            if chain.operator is None:
-                raise ValueError(
-                    "sharded execution needs sequential chains: windows are "
-                    "already the unit of distribution across shards (query "
-                    f"{chain.query.name!r} uses .parallel({chain.degree}))"
-                )
             if chain.adaptive_options is not None:
                 raise ValueError(
                     "adaptive retraining is coordinator work in a cluster: "

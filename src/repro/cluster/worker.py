@@ -113,10 +113,9 @@ class ShardChain:
     ) -> List[ComplexEvent]:
         """Shed and match one complete window.
 
-        Mirrors
-        :meth:`repro.cep.parallel.WindowParallelOperator.process_window`
-        -- the proven degree-invariant path -- except that the window
-        size prediction comes from the router instead of local state.
+        Decides every membership against ``predicted_ws``, the
+        coordinator's update-then-predict window size, so a decision
+        does not depend on which shard runs the window.
         """
         if self.window_seconds is not None:
             return self._process_window_timed(window, predicted_ws)

@@ -15,17 +15,15 @@ Every quality experiment follows the paper's protocol (§4.1):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional
 
 from repro.cep.events import EventStream
 from repro.cep.patterns.query import Query
 from repro.cep.windows import average_window_size, collect_windows
-from repro.core.overload import OverloadDetector
 from repro.pipeline import Pipeline
 from repro.runtime.latency import LatencyStats
 from repro.runtime.quality import QualityReport, compare_results, ground_truth
 from repro.runtime.simulation import measure_mean_memberships
-from repro.shedding.base import LoadShedder
 
 # The paper's two overload levels: input rate exceeds throughput by 20/40 %.
 R1 = 1.2
@@ -120,28 +118,6 @@ def strategy_pipeline(
         expected_input_rate=rate_factor * config.throughput,
     )
     return pipeline
-
-
-def build_strategy(
-    strategy: str,
-    query: Query,
-    train_stream: EventStream,
-    config: ExperimentConfig,
-    rate_factor: float,
-) -> Tuple[Optional[LoadShedder], Optional[OverloadDetector], float]:
-    """Construct (shedder, detector, reference window size) for a run.
-
-    Legacy component view of :func:`strategy_pipeline`, kept for
-    callers that drive :func:`repro.runtime.simulation.simulate`
-    directly with loose components.
-    """
-    if strategy == "none":
-        # ground-truth shape: no shedding machinery at all
-        return None, None, float(reference_window_size(query, train_stream))
-    pipeline = strategy_pipeline(strategy, query, train_stream, config, rate_factor)
-    chain = pipeline.chains[0]
-    reference = chain.model.reference_size if chain.model else chain.detector.reference_size
-    return chain.shedder, chain.detector, float(reference)
 
 
 def run_quality_point(

@@ -16,16 +16,12 @@ from repro.experiments.common import (
     ExperimentConfig,
     R1,
     R2,
-    build_strategy,
     format_rows,
+    strategy_pipeline,
 )
 from repro.queries import build_q1
 from repro.runtime.latency import LatencyStats
-from repro.runtime.simulation import (
-    SimulationConfig,
-    measure_mean_memberships,
-    simulate,
-)
+from repro.runtime.simulation import measure_mean_memberships
 
 
 @dataclass
@@ -87,22 +83,11 @@ def fig7_latency(
     result = Fig7Result(latency_bound=cfg.latency_bound, f=cfg.f)
     mean_memberships = measure_mean_memberships(query, eval_stream)
     for rate in rates:
-        shedder, detector, reference = build_strategy(
-            strategy, query, train, cfg, rate
-        )
-        sim = simulate(
-            query,
+        sim = strategy_pipeline(strategy, query, train, cfg, rate).simulate(
             eval_stream,
-            SimulationConfig(
-                input_rate=rate * cfg.throughput,
-                throughput=cfg.throughput,
-                latency_bound=cfg.latency_bound,
-                check_interval=cfg.check_interval,
-                mean_memberships=mean_memberships,
-            ),
-            shedder=shedder,
-            detector=detector,
-            prime_window_size=reference,
+            input_rate=rate * cfg.throughput,
+            throughput=cfg.throughput,
+            mean_memberships=mean_memberships,
         )
         result.runs.append(
             LatencyRun(

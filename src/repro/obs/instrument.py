@@ -125,10 +125,7 @@ def instrument_chain(chain, obs: Observability) -> None:
             return
         shedder = shed_stage.shedder
         detector = shed_stage.detector
-        operator = shed_stage.operator
-        predicted = (
-            operator.predicted_window_size() if operator is not None else 0.0
-        )
+        predicted = shed_stage.operator.predicted_window_size()
         overloaded = (
             detector.shedding
             if detector is not None

@@ -16,12 +16,13 @@ the old code hand-assembled::
     )
 
 Strategy names come from :mod:`repro.shedding.registry`; prebuilt
-shedder/detector instances can be injected instead (the simulation
-driver's compatibility path).
+shedder/detector instances can be injected instead (custom shedders,
+hand-configured detectors in tests).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.cep.patterns.query import Query
@@ -54,7 +55,6 @@ class PipelineBuilder:
         self._ingress: List[StageLike] = []
         self._egress: List[StageLike] = []
         self._sinks: List[EventSink] = []
-        self._degree = 1
         self._adaptive: Optional[Dict[str, Any]] = None
         self._model: Optional["UtilityModel"] = None
         self._distributed: Optional[Dict[str, Any]] = None
@@ -94,10 +94,8 @@ class PipelineBuilder:
             raise ValueError(
                 f"unknown shedder strategy {strategy!r}; registered: {known}"
             )
-        if "f" in options:
-            self._config.f = options.pop("f")
-        if "seed" in options:
-            self._config.seed = options.pop("seed")
+        config_knobs = {k: options.pop(k) for k in ("f", "seed") if k in options}
+        self._set(**config_knobs)
         self._strategy = strategy
         self._strategy_options = options
         return self
@@ -124,30 +122,30 @@ class PipelineBuilder:
     # ------------------------------------------------------------------
     # config knobs
     # ------------------------------------------------------------------
+    def _set(self, **changes: Any) -> "PipelineBuilder":
+        # replace() re-runs PipelineConfig's checks: a bad value fails here
+        self._config = dataclasses.replace(self._config, **changes)
+        return self
+
     def latency_bound(self, seconds: float) -> "PipelineBuilder":
         """``LB``: the latency bound in seconds (paper default 1.0)."""
-        self._config.latency_bound = seconds
-        return self
+        return self._set(latency_bound=seconds)
 
     def f(self, value: Optional[float]) -> "PipelineBuilder":
         """Shedding trigger fraction; ``None`` auto-selects (§3.4)."""
-        self._config.f = value
-        return self
+        return self._set(f=value)
 
     def bin_size(self, bins: int) -> "PipelineBuilder":
         """``bs``: utility-table positions per bin (§3.6)."""
-        self._config.bin_size = bins
-        return self
+        return self._set(bin_size=bins)
 
     def check_interval(self, seconds: float) -> "PipelineBuilder":
         """Overload-detector period in seconds."""
-        self._config.check_interval = seconds
-        return self
+        return self._set(check_interval=seconds)
 
     def reference_size(self, size: Optional[int]) -> "PipelineBuilder":
         """Pin the reference window size ``N`` instead of deriving it."""
-        self._config.reference_size = size
-        return self
+        return self._set(reference_size=size)
 
     def batch(self, batch_size: int, linger: float = 0.0) -> "PipelineBuilder":
         """Size the micro-batches of the event path (size-or-linger).
@@ -160,18 +158,11 @@ class PipelineBuilder:
         not depend on the size; larger batches only lower constants.
         The default ``batch_size=1`` ships every event on its own.
         """
-        if batch_size <= 0:
-            raise ValueError("batch size must be positive")
-        if linger < 0.0:
-            raise ValueError("linger must be non-negative")
-        self._config.batch_size = batch_size
-        self._config.linger = linger
-        return self
+        return self._set(batch_size=batch_size, linger=linger)
 
     def seed(self, seed: int) -> "PipelineBuilder":
         """RNG seed handed to sampling shedders."""
-        self._config.seed = seed
-        return self
+        return self._set(seed=seed)
 
     # ------------------------------------------------------------------
     # middleware extension points
@@ -199,13 +190,6 @@ class PipelineBuilder:
     # ------------------------------------------------------------------
     # deployment shape
     # ------------------------------------------------------------------
-    def parallel(self, degree: int) -> "PipelineBuilder":
-        """Window-parallel matching over ``degree`` logical instances."""
-        if degree <= 0:
-            raise ValueError("parallelism degree must be positive")
-        self._degree = degree
-        return self
-
     def distributed(
         self,
         shards: int,
@@ -325,23 +309,12 @@ class PipelineBuilder:
                 "shedder/detector injection only supports single-query "
                 "pipelines; use a registry strategy name for fan-out"
             )
-        if self._adaptive is not None and self._degree > 1:
+        if self._distributed is not None and self._adaptive is not None:
             raise ValueError(
-                "adaptive retraining requires the sequential operator "
-                "(parallel chains have no window listeners)"
+                "adaptive retraining is coordinator work in a cluster: "
+                "drop .adaptive() and call retrain() on the "
+                "ShardedPipeline"
             )
-        if self._distributed is not None:
-            if self._degree > 1:
-                raise ValueError(
-                    "combine either .parallel() or .distributed(): shards "
-                    "already parallelise over windows"
-                )
-            if self._adaptive is not None:
-                raise ValueError(
-                    "adaptive retraining is coordinator work in a cluster: "
-                    "drop .adaptive() and call retrain() on the "
-                    "ShardedPipeline"
-                )
         chains = []
         for query in self._queries:
             chains.append(
@@ -354,7 +327,6 @@ class PipelineBuilder:
                     detector=self._detector_instance,
                     ingress_stages=self._materialise(self._ingress, multi),
                     egress_stages=self._materialise(self._egress, multi),
-                    degree=self._degree,
                     adaptive_options=self._adaptive,
                     sinks=list(self._sinks),
                     model=self._model,

@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 from repro.cep.events import ComplexEvent, Event, EventStream
 from repro.cep.operator.operator import CEPOperator, ProcessResult
 from repro.cep.operator.queue import InputQueue, QueuedItem
-from repro.cep.parallel import WindowParallelOperator
 from repro.cep.patterns.query import Query
 from repro.core.adaptive import AdaptiveController
 from repro.core.fvalue import effective_f
@@ -51,7 +50,6 @@ from repro.pipeline.stages import (
     EmitStage,
     EventSink,
     MatchStage,
-    ParallelMatchStage,
     SheddingStage,
     Stage,
     StageContext,
@@ -79,8 +77,11 @@ def _materialise(stream: Iterable[Event]) -> Iterable[Event]:
 class PipelineConfig:
     """Shared knobs of a pipeline (one copy per chain).
 
-    The knobs the deprecated ``ESpiceConfig`` carried, plus the
-    micro-batching of the event path.
+    eSPICE's latency bound, ``f``, utility-table binning, detector
+    period and reference window size, the sampling seed, plus the
+    micro-batching of the event path.  Every value is checked here, and
+    the builder's setters go through :func:`dataclasses.replace`, so a
+    bad value fails at the setter call.
     """
 
     latency_bound: float = 1.0
@@ -152,7 +153,6 @@ class QueryChain:
         detector: Optional[OverloadDetector] = None,
         ingress_stages: Optional[List[Stage]] = None,
         egress_stages: Optional[List[Stage]] = None,
-        degree: int = 1,
         adaptive_options: Optional[dict] = None,
         sinks: Optional[List[EventSink]] = None,
         model: Optional[UtilityModel] = None,
@@ -161,7 +161,6 @@ class QueryChain:
         self.config = config
         self.strategy = strategy
         self.strategy_options = dict(strategy_options or {})
-        self.degree = degree
         self.adaptive_options = adaptive_options
         self.controller: Optional[AdaptiveController] = None
         self.model: Optional[UtilityModel] = model
@@ -175,20 +174,9 @@ class QueryChain:
         self.queue = InputQueue()
         self.admission = AdmissionStage(self.queue)
         self.window_assign = WindowAssignStage(query.new_assigner(), self.queue)
-        if degree > 1:
-            self.parallel: Optional[WindowParallelOperator] = WindowParallelOperator(
-                query, degree=degree, shedder=None
-            )
-            self.operator: Optional[CEPOperator] = None
-            match_stage: Stage = ParallelMatchStage(self.parallel)
-        else:
-            self.parallel = None
-            self.operator = CEPOperator(query, shedder=None)
-            match_stage = MatchStage(self.operator)
-        self.match_stage = match_stage
-        self.shedding = SheddingStage(per_event=degree == 1)
-        self.shedding.operator = self.operator
-        self.shedding.queue = self.queue
+        self.operator = CEPOperator(query, shedder=None)
+        self.match_stage = MatchStage(self.operator)
+        self.shedding = SheddingStage(self.operator, self.queue)
         self.emit = EmitStage(sinks)
 
         self.ingress: List[Stage] = [
@@ -241,8 +229,8 @@ class QueryChain:
     def create_shedder(self) -> LoadShedder:
         """A fresh, unwired shedder of this chain's strategy.
 
-        For callers that drive components manually (micro-benchmarks,
-        the deprecated facade); :meth:`deploy` wires its own.
+        For callers that drive a bare operator themselves (the Fig. 10
+        overhead experiment); :meth:`deploy` wires its own.
         """
         if self.strategy is None:
             raise RuntimeError("no shedding strategy configured")
@@ -251,8 +239,6 @@ class QueryChain:
     def _install_shedder(self, shedder: LoadShedder) -> None:
         self.shedder = shedder
         self.shedding.shedder = shedder
-        if self.parallel is not None:
-            self.parallel.shedder = shedder
 
     def _install_detector(self, detector: OverloadDetector) -> None:
         self.detector = detector
@@ -262,8 +248,7 @@ class QueryChain:
     def _prime(self, size: float, weight: int = 10) -> None:
         if self._primed or size <= 0:
             return
-        target = self.operator if self.operator is not None else self.parallel
-        target.prime_window_size(size, weight=weight)
+        self.operator.prime_window_size(size, weight=weight)
         self._primed = True
 
     # ------------------------------------------------------------------
@@ -359,7 +344,7 @@ class QueryChain:
         )
         if prime:
             self._prime(reference)
-        if self.adaptive_options is not None and self.operator is not None:
+        if self.adaptive_options is not None:
             if self.controller is not None:
                 # re-deploy: detach the previous controller so stale
                 # instances neither double-count windows nor hot-swap
@@ -429,13 +414,7 @@ class QueryChain:
         """
         self.queue.consume_all()  # the batch's items leave the queue as one drain
         egress = self._egress_batch_dispatch
-        shedding_live = (
-            self.shedding.per_event
-            and self.shedder is not None
-            and self.shedder.active
-            and self.operator is not None
-        )
-        if not shedding_live:
+        if self.shedder is None or not self.shedder.active:
             for process_batch in egress:
                 process_batch(stage_batch)
             return
@@ -936,5 +915,5 @@ class Pipeline:
         return pipeline_metrics(self)
 
     def backpressure(self) -> Dict[str, Dict[str, object]]:
-        """Per-chain queue depth and rejection counters."""
+        """Per-chain current and high-water queue depth."""
         return {chain.query.name: chain.backpressure() for chain in self.chains}

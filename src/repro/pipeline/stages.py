@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 from repro.cep.events import ComplexEvent, Event
 from repro.cep.operator.operator import CEPOperator, ProcessResult
 from repro.cep.operator.queue import InputQueue, QueuedItem
-from repro.cep.parallel import WindowParallelOperator
 from repro.cep.windows import Window, WindowAssigner
 from repro.core.overload import OverloadDetector
 from repro.shedding.base import LoadShedder
@@ -221,27 +220,27 @@ class SheddingStage(Stage):
     detector's periodic queue check (paper §3.4), which
     activates/deactivates the shedder and renews its drop command.
 
-    ``per_event=False`` (window-parallel chains) skips the per-event
-    decisions: there the operator sheds whole windows at completion.
+    ``operator`` is the chain's match operator (decisions scale
+    positions against its predicted window size) and ``queue`` the
+    chain's input queue (the detector checks its depth).  The chain
+    installs the shedder and the detector once it has built them.
     """
 
     name = "shedding"
 
-    __slots__ = ("shedder", "detector", "per_event", "operator", "queue")
+    __slots__ = ("shedder", "detector", "operator", "queue")
 
     def __init__(
         self,
+        operator: CEPOperator,
+        queue: InputQueue,
         shedder: Optional[LoadShedder] = None,
         detector: Optional[OverloadDetector] = None,
-        per_event: bool = True,
     ) -> None:
+        self.operator = operator
+        self.queue = queue
         self.shedder = shedder
         self.detector = detector
-        self.per_event = per_event
-        # wired by the chain: decisions scale positions against the
-        # match operator's predicted window size, checks read the queue
-        self.operator: Optional[CEPOperator] = None
-        self.queue: Optional[InputQueue] = None
 
     # repro-lint: parity-tested
     def process_batch(self, batch: "StageBatch") -> None:
@@ -253,9 +252,7 @@ class SheddingStage(Stage):
         vectorized kernel resolves the whole drop mask at once.
         """
         shedder = self.shedder
-        if not (self.per_event and shedder is not None and self.operator is not None):
-            return
-        if not getattr(shedder, "active", True):
+        if shedder is None or not getattr(shedder, "active", True):
             return  # operator.decide would return None per item
         live = [ctx for ctx in batch.contexts if not ctx.stopped]
         drops = self.operator.decide_batch(
@@ -265,7 +262,7 @@ class SheddingStage(Stage):
             ctx.drops = item_drops
 
     def on_tick(self, now: float) -> None:
-        if self.detector is not None and self.queue is not None:
+        if self.detector is not None:
             self.detector.check(now, self.queue.size)
 
     def metrics(self) -> Dict[str, object]:
@@ -315,47 +312,6 @@ class MatchStage(Stage):
             "windows_completed": stats.windows_completed,
             "complex_events": stats.complex_events,
             "drop_ratio": stats.drop_ratio(),
-        }
-
-
-class ParallelMatchStage(Stage):
-    """Window-parallel matching (RIP/SPECTRE deployment shape, §5).
-
-    Complete windows are dispatched round-robin over ``degree`` logical
-    operator instances of a shared
-    :class:`~repro.cep.parallel.WindowParallelOperator`; shedding (if
-    any) happens per window at completion through the shared shedder,
-    which is what makes detections invariant in the parallelism degree.
-    """
-
-    name = "match"
-
-    __slots__ = ("parallel",)
-
-    def __init__(self, parallel: WindowParallelOperator) -> None:
-        self.parallel = parallel
-
-    def on_event(self, ctx: StageContext) -> bool:
-        complex_events: List[ComplexEvent] = []
-        for window in ctx.item.closed_windows:
-            complex_events.extend(self.parallel.process_window(window, now=ctx.now))
-        ctx.result = ProcessResult(complex_events=complex_events)
-        return True
-
-    def flush(self, windows: List[Window], now: float) -> List[ComplexEvent]:
-        complex_events: List[ComplexEvent] = []
-        for window in windows:
-            complex_events.extend(self.parallel.process_window(window, now=now))
-        return complex_events
-
-    def metrics(self) -> Dict[str, object]:
-        return {
-            "degree": self.parallel.degree,
-            "windows_completed": self.parallel.total_windows(),
-            "load_imbalance": self.parallel.load_imbalance(),
-            "complex_events": sum(
-                s.complex_events for s in self.parallel.instance_stats
-            ),
         }
 
 

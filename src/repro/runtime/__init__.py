@@ -25,7 +25,6 @@ from repro.runtime.simulation import (
     SimulationConfig,
     SimulationResult,
     measure_mean_memberships,
-    simulate,
     simulate_sharded,
 )
 
@@ -42,7 +41,6 @@ __all__ = [
     "measure_mean_memberships",
     "poisson_arrivals",
     "serve_replay",
-    "simulate",
     "simulate_sharded",
     "uniform_arrivals",
 ]

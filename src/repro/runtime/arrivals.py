@@ -4,7 +4,7 @@ The default simulation spaces arrivals uniformly at the configured
 rate.  Real streams are not that polite: the paper's discussion of the
 ``f`` parameter (§3.4) hinges on *short bursts* -- a high ``f`` avoids
 shedding when the queue spike is transient.  These generators produce
-explicit arrival-time sequences for :func:`repro.runtime.simulation.simulate`
+explicit arrival-time sequences for :func:`repro.runtime.simulation.simulate_pipeline`
 so that burstiness becomes an experimental variable.
 """
 

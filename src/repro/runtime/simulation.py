@@ -12,9 +12,8 @@ Since the pipeline API redesign this module no longer hand-assembles
 operator + queue + detector: :func:`simulate_pipeline` steps the
 middleware chains of a :class:`repro.pipeline.Pipeline` (ingress at
 arrival, detector ticks on the check interval, egress when the
-operator picks an item up), and :func:`simulate` is a thin
-single-query wrapper that builds the pipeline from loose components
-for backward compatibility.
+operator picks an item up).  :meth:`repro.pipeline.Pipeline.simulate`
+wraps it for single-query pipelines.
 
 Cost model
 ----------
@@ -159,7 +158,6 @@ def simulate_pipeline(
     pipeline: "Pipeline",
     stream: EventStream,
     config: SimulationConfig,
-    prime_window_size: Optional[float] = None,
     arrival_times: Optional[List[float]] = None,
     mean_memberships: Optional[Union[float, Mapping[str, float]]] = None,
 ) -> Dict[str, SimulationResult]:
@@ -177,11 +175,8 @@ def simulate_pipeline(
     pipeline:
         A built (and usually trained + deployed)
         :class:`repro.pipeline.Pipeline`.  Chains are stateful; use a
-        fresh pipeline per run.
-    prime_window_size:
-        Seed for unprimed window-size predictors (e.g. the training
-        phase's average window size); ``deploy()`` primes chains
-        already, so this mainly serves undeployed pipelines.
+        fresh pipeline per run.  ``deploy()`` primes each chain's
+        window-size predictor with the reference window size.
     arrival_times:
         Explicit arrival times (see :mod:`repro.runtime.arrivals`),
         overriding the uniform spacing derived from
@@ -200,18 +195,6 @@ def simulate_pipeline(
     _validate_arrivals(arrival_times, stream)
     chains = pipeline.chains
     k = len(chains)
-    for chain in chains:
-        if chain.operator is None:
-            raise ValueError(
-                "virtual-time simulation needs sequential chains: the "
-                "per-membership cost model cannot price window-parallel "
-                f"matching (query {chain.query.name!r} uses "
-                f".parallel({chain.degree})); use run()/feed() for "
-                "parallel pipelines"
-            )
-    if prime_window_size is not None:
-        for chain in chains:
-            chain._prime(prime_window_size)
 
     def _memberships_for(chain) -> float:
         if mean_memberships is None:
@@ -418,44 +401,3 @@ def simulate_sharded(
     with sharded:
         return sharded.run(stream)
 
-
-def simulate(
-    query: Query,
-    stream: EventStream,
-    config: SimulationConfig,
-    shedder: Optional[LoadShedder] = None,
-    detector: Optional[OverloadDetector] = None,
-    prime_window_size: Optional[float] = None,
-    arrival_times: Optional[List[float]] = None,
-) -> SimulationResult:
-    """Run ``stream`` through a single-query pipeline at the configured
-    rates.
-
-    Compatibility wrapper over :func:`simulate_pipeline`: assembles a
-    one-chain pipeline around ``query``, injecting the prebuilt
-    ``shedder``/``detector`` (the detector is expected to be wired to
-    the shedder: ``detector.shedder is shedder``).
-    ``prime_window_size`` seeds the operator's window-size predictor
-    (e.g. the training phase's average window size) so relative
-    positions are available from the first window.
-    """
-    from repro.pipeline import Pipeline
-
-    builder = (
-        Pipeline.builder()
-        .query(query)
-        .latency_bound(config.latency_bound)
-        .check_interval(config.check_interval)
-    )
-    if shedder is not None:
-        builder.shedder(shedder)
-    if detector is not None:
-        builder.detector(detector)
-    results = simulate_pipeline(
-        builder.build(),
-        stream,
-        config,
-        prime_window_size=prime_window_size,
-        arrival_times=arrival_times,
-    )
-    return results[query.name]

@@ -9,10 +9,10 @@ import pytest
 from repro.experiments import workloads
 from repro.experiments.common import (
     ExperimentConfig,
-    build_strategy,
     format_rows,
     reference_window_size,
     run_quality_point,
+    strategy_pipeline,
 )
 from repro.experiments.fig5 import fig5_q1
 from repro.experiments.fig7 import fig7_latency
@@ -40,15 +40,20 @@ class TestCommon:
         n = reference_window_size(build_q1(2), train)
         assert 100 < n < 800
 
-    def test_build_strategy_rejects_unknown(self, small_soccer):
+    def test_strategy_pipeline_rejects_unknown(self, small_soccer):
         train, _test = small_soccer
-        with pytest.raises(ValueError):
-            build_strategy("magic", build_q1(2), train, FAST, 1.2)
+        with pytest.raises(ValueError, match="unknown strategy"):
+            strategy_pipeline("magic", build_q1(2), train, FAST, 1.2)
 
-    def test_build_strategy_none(self, small_soccer):
+    def test_strategy_pipeline_none(self, small_soccer):
         train, _test = small_soccer
-        shedder, detector, n = build_strategy("none", build_q1(2), train, FAST, 1.2)
-        assert shedder is None and detector is None and n > 0
+        query = build_q1(2)
+        chain = strategy_pipeline("none", query, train, FAST, 1.2).chains[0]
+        reference = reference_window_size(query, train)
+        assert chain.detector is None and not chain.shedder.active
+        assert reference > 0
+        # deploy() primed the predictor with the pinned reference size
+        assert chain.operator.predicted_window_size() == reference
 
     def test_run_quality_point_smoke(self, small_soccer):
         train, test = small_soccer

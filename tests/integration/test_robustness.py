@@ -11,13 +11,8 @@ from repro.cep.events import Event, EventStream, StreamBuilder
 from repro.cep.patterns import seq, spec
 from repro.cep.patterns.query import Query
 from repro.cep.windows import CountSlidingWindows
-from repro.core.espice import ESpice, ESpiceConfig
 from repro.core.overload import OverloadDetector
-from repro.runtime.simulation import (
-    SimulationConfig,
-    measure_mean_memberships,
-    simulate,
-)
+from repro.pipeline import Pipeline
 
 
 def toy_query(window=10):
@@ -35,12 +30,23 @@ def training_stream(repetitions=100):
     return builder.stream
 
 
+def espice_pipeline(latency_bound=1.0, check_interval=0.1):
+    """A trained single-query eSPICE pipeline (f = 0.8), not yet deployed."""
+    return (
+        Pipeline.builder()
+        .query(toy_query())
+        .shedder("espice", f=0.8)
+        .latency_bound(latency_bound)
+        .check_interval(check_interval)
+        .build()
+        .train(training_stream())
+    )
+
+
 class TestUnknownInputs:
     def test_unknown_event_types_at_shed_time(self):
         """Types never seen in training are shed first, never crash."""
-        espice = ESpice(toy_query())
-        espice.train(training_stream())
-        shedder = espice.build_shedder()
+        shedder = espice_pipeline().create_shedder()
         from repro.shedding.base import DropCommand
 
         shedder.on_drop_command(DropCommand(x=2.0, partition_count=1, partition_size=10.0))
@@ -49,9 +55,7 @@ class TestUnknownInputs:
         assert shedder.should_drop(alien, 3, 10.0) is True  # utility 0
 
     def test_position_far_beyond_reference(self):
-        espice = ESpice(toy_query())
-        espice.train(training_stream())
-        shedder = espice.build_shedder()
+        shedder = espice_pipeline().create_shedder()
         from repro.shedding.base import DropCommand
 
         shedder.on_drop_command(DropCommand(x=2.0, partition_count=2, partition_size=5.0))
@@ -61,71 +65,28 @@ class TestUnknownInputs:
             shedder.should_drop(Event("A", 0, 0.0), position, 500.0)
 
     def test_empty_training_stream_rejected(self):
-        espice = ESpice(toy_query())
+        pipeline = Pipeline.builder().query(toy_query()).shedder("espice").build()
         with pytest.raises(ValueError):
-            espice.train(EventStream())
+            pipeline.train(EventStream())
 
 
 class TestBurstyArrivals:
     def test_short_burst_is_absorbed_without_shedding(self):
         """A burst shorter than the f*qmax headroom must not shed."""
-        espice = ESpice(toy_query(), ESpiceConfig(latency_bound=1.0, f=0.8))
-        model = espice.train(training_stream())
-        shedder = espice.build_shedder()
-        detector = OverloadDetector(
-            latency_bound=1.0,
-            f=0.8,
-            reference_size=model.reference_size,
-            shedder=shedder,
-            check_interval=0.01,
-            fixed_processing_latency=0.001,  # qmax = 1000, trigger at 800
-            fixed_input_rate=2000.0,
-        )
+        pipeline = espice_pipeline(latency_bound=1.0, check_interval=0.01)
+        # qmax = 1000, trigger at 800; deploy() primes the predictor
+        pipeline.deploy(expected_throughput=1000.0, expected_input_rate=2000.0)
         # 600-event burst at 2x capacity: peak queue ~300 < 800
         stream = training_stream(repetitions=60)
-        result = simulate(
-            toy_query(),
-            stream,
-            SimulationConfig(
-                input_rate=2000.0,
-                throughput=1000.0,
-                latency_bound=1.0,
-                check_interval=0.01,
-            ),
-            shedder=shedder,
-            detector=detector,
-            prime_window_size=model.reference_size,
-        )
+        result = pipeline.simulate(stream, input_rate=2000.0, throughput=1000.0)
         assert result.operator_stats.memberships_dropped == 0
         assert result.latency.stats().violations == 0
 
     def test_sustained_overload_triggers_shedding(self):
-        espice = ESpice(toy_query(), ESpiceConfig(latency_bound=0.1, f=0.8))
-        model = espice.train(training_stream())
-        shedder = espice.build_shedder()
-        detector = OverloadDetector(
-            latency_bound=0.1,
-            f=0.8,
-            reference_size=model.reference_size,
-            shedder=shedder,
-            check_interval=0.005,
-            fixed_processing_latency=0.001,
-            fixed_input_rate=1400.0,
-        )
+        pipeline = espice_pipeline(latency_bound=0.1, check_interval=0.005)
+        pipeline.deploy(expected_throughput=1000.0, expected_input_rate=1400.0)
         stream = training_stream(repetitions=800)  # 8000 events
-        result = simulate(
-            toy_query(),
-            stream,
-            SimulationConfig(
-                input_rate=1400.0,
-                throughput=1000.0,
-                latency_bound=0.1,
-                check_interval=0.005,
-            ),
-            shedder=shedder,
-            detector=detector,
-            prime_window_size=model.reference_size,
-        )
+        result = pipeline.simulate(stream, input_rate=1400.0, throughput=1000.0)
         assert result.operator_stats.memberships_dropped > 0
         assert result.latency.stats().violations == 0
 
@@ -133,36 +94,14 @@ class TestBurstyArrivals:
 class TestMeasuredEstimators:
     def test_detector_with_measured_rates_still_sheds(self):
         """No pinned l(p)/R: estimators learn from the run itself."""
-        espice = ESpice(toy_query(), ESpiceConfig(latency_bound=0.1, f=0.8))
-        model = espice.train(training_stream())
-        shedder = espice.build_shedder()
-        detector = OverloadDetector(
-            latency_bound=0.1,
-            f=0.8,
-            reference_size=model.reference_size,
-            shedder=shedder,
-            check_interval=0.005,
-        )
+        pipeline = espice_pipeline(latency_bound=0.1, check_interval=0.005)
+        pipeline.deploy()  # no throughput/rate hints: measured estimators
         # feed the estimators like the runtime would
         stream = training_stream(repetitions=600)
-        config = SimulationConfig(
-            input_rate=1400.0,
-            throughput=1000.0,
-            latency_bound=0.1,
-            check_interval=0.005,
-            mean_memberships=measure_mean_memberships(toy_query(), stream),
-        )
         # prime l(p) with a few measurements, then let the run refine it
         for _ in range(10):
-            detector.record_processing(0.001)
-        result = simulate(
-            toy_query(),
-            stream,
-            config,
-            shedder=shedder,
-            detector=detector,
-            prime_window_size=model.reference_size,
-        )
+            pipeline.chains[0].detector.record_processing(0.001)
+        result = pipeline.simulate(stream, input_rate=1400.0, throughput=1000.0)
         assert result.operator_stats.memberships_dropped > 0
         # the measured-rate detector reacts a beat later than a pinned
         # one; the bound may be grazed briefly but not blown

@@ -138,46 +138,38 @@ class TestFluentConstruction:
         assert all(isinstance(stage, LoggingStage) for stage in stages)
         assert stages[0] is not stages[1]
 
-    def test_adaptive_requires_sequential(self):
-        with pytest.raises(ValueError, match="sequential"):
-            (
-                Pipeline.builder()
-                .query(toy_query())
-                .shedder("espice")
-                .parallel(4)
-                .adaptive()
-                .build()
-            )
 
+class TestConfigValidation:
+    """Every config setter fails at the call, not later at deploy/run."""
 
-class TestDeprecatedFacadeParity:
-    """The ESpice shim and the builder produce equivalent components."""
+    @pytest.mark.parametrize(
+        "configure",
+        [
+            pytest.param(lambda b: b.f(1.5), id="f"),
+            pytest.param(lambda b: b.f(-0.1), id="f-negative"),
+            pytest.param(lambda b: b.shedder("espice", f=2.0), id="shedder-f"),
+            pytest.param(lambda b: b.latency_bound(-1), id="latency_bound"),
+            pytest.param(lambda b: b.latency_bound(0.0), id="latency_bound-zero"),
+            pytest.param(lambda b: b.check_interval(0), id="check_interval"),
+            pytest.param(lambda b: b.bin_size(0), id="bin_size"),
+            pytest.param(lambda b: b.batch(0), id="batch_size"),
+            pytest.param(lambda b: b.batch(4, linger=-1.0), id="linger"),
+        ],
+    )
+    def test_bad_value_raises_at_setter(self, configure):
+        builder = Pipeline.builder().query(toy_query())
+        with pytest.raises(ValueError):
+            configure(builder)
 
-    def test_same_model_and_detector_wiring(self):
-        from repro.core.espice import ESpice, ESpiceConfig
+    def test_rejected_value_leaves_config_unchanged(self):
+        builder = Pipeline.builder().query(toy_query()).f(0.7)
+        with pytest.raises(ValueError):
+            builder.f(1.5)
+        assert builder.build().config.f == 0.7
 
-        stream = toy_stream()
-        espice = ESpice(toy_query(), ESpiceConfig(latency_bound=1.0, f=0.8))
-        old_model = espice.train(stream)
-        old_detector = espice.build_detector(
-            espice.build_shedder(),
-            fixed_processing_latency=0.001,
-            fixed_input_rate=1200.0,
-        )
-
+    def test_none_still_accepted(self):
         pipeline = (
-            Pipeline.builder()
-            .query(toy_query())
-            .shedder("espice", f=0.8)
-            .latency_bound(1.0)
-            .build()
+            Pipeline.builder().query(toy_query()).f(None).reference_size(None).build()
         )
-        pipeline.train(stream)
-        pipeline.deploy(expected_throughput=1000.0, expected_input_rate=1200.0)
-        chain = pipeline.chains[0]
-
-        assert chain.model.reference_size == old_model.reference_size
-        assert chain.model.table.as_matrix() == old_model.table.as_matrix()
-        assert chain.detector.f == old_detector.f
-        assert chain.detector.latency_bound == old_detector.latency_bound
-        assert chain.detector.reference_size == old_detector.reference_size
+        assert pipeline.config.f is None
+        assert pipeline.config.reference_size is None

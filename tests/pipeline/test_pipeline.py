@@ -7,12 +7,10 @@ from repro.cep.operator.operator import CEPOperator
 from repro.cep.patterns import seq, spec
 from repro.cep.patterns.query import Query
 from repro.cep.windows import CountSlidingWindows
-from repro.core.espice import ESpice, ESpiceConfig
 from repro.pipeline import Pipeline
 from repro.queries import build_q1
 from repro.datasets import SoccerStreamConfig, generate_soccer_stream, split_stream
 from repro.runtime.quality import compare_results, ground_truth
-from repro.runtime.simulation import SimulationConfig, simulate
 
 
 def toy_query(name="toy", window=4, types=("A", "B")):
@@ -101,58 +99,7 @@ class TestMultiQueryFanOut:
 
 
 class TestSimulationEquivalence:
-    """pipeline.simulate == the historical hand-wired simulate."""
-
-    def test_espice_equivalence(self):
-        query, train, live = soccer_setup()
-
-        # old wiring through the deprecated facade
-        espice = ESpice(query, ESpiceConfig(latency_bound=1.0, f=0.8, bin_size=8))
-        model = espice.train(train)
-        shedder = espice.build_shedder()
-        detector = espice.build_detector(
-            shedder,
-            fixed_processing_latency=1.0 / 1000.0,
-            fixed_input_rate=1400.0,
-        )
-        from repro.runtime.simulation import measure_mean_memberships
-
-        old = simulate(
-            query,
-            live,
-            SimulationConfig(
-                input_rate=1400.0,
-                throughput=1000.0,
-                latency_bound=1.0,
-                mean_memberships=measure_mean_memberships(query, live),
-            ),
-            shedder=shedder,
-            detector=detector,
-            prime_window_size=model.reference_size,
-        )
-
-        # new wiring through the pipeline API
-        pipeline = (
-            Pipeline.builder()
-            .query(query)
-            .shedder("espice", f=0.8)
-            .latency_bound(1.0)
-            .bin_size(8)
-            .build()
-        )
-        pipeline.train(train)
-        pipeline.deploy(expected_throughput=1000.0, expected_input_rate=1400.0)
-        new = pipeline.simulate(live, input_rate=1400.0, throughput=1000.0)
-
-        assert [c.key for c in new.complex_events] == [
-            c.key for c in old.complex_events
-        ]
-        assert (
-            new.operator_stats.memberships_dropped
-            == old.operator_stats.memberships_dropped
-        )
-        assert new.latency.stats().mean == pytest.approx(old.latency.stats().mean)
-        assert new.max_queue_size == old.max_queue_size
+    """Virtual-time overload through ``Pipeline.simulate``."""
 
     def test_sim_quality_beats_random(self):
         query, train, live = soccer_setup(duration=1600, pattern_size=3)
@@ -175,6 +122,72 @@ class TestSimulationEquivalence:
             outcomes["espice"].false_negative_pct
             < outcomes["random"].false_negative_pct
         )
+
+
+def espice_pipeline(**knobs):
+    """A single-query eSPICE pipeline; ``knobs`` name builder setters."""
+    builder = Pipeline.builder().query(toy_query()).shedder("espice")
+    for setter, value in knobs.items():
+        getattr(builder, setter)(value)
+    return builder.build()
+
+
+class TestTrainAndDeploy:
+    def test_train_builds_model(self):
+        model = espice_pipeline().train(toy_stream(20)).model
+        assert model.reference_size == 4
+        assert model.windows_trained == 20
+        assert model.utility("A", 0, 4.0) == 100
+        assert model.utility("X", 2, 4.0) == 0
+
+    def test_train_accumulates(self):
+        pipeline = espice_pipeline()
+        pipeline.train(toy_stream(10))
+        assert pipeline.train(toy_stream(10)).model.windows_trained == 20
+
+    def test_retrain_resets_statistics(self):
+        pipeline = espice_pipeline()
+        pipeline.train(toy_stream(10))
+        assert pipeline.retrain(toy_stream(5)).model.windows_trained == 5
+
+    def test_deploy_before_training_raises(self):
+        pipeline = espice_pipeline()
+        with pytest.raises(RuntimeError, match="train"):
+            pipeline.deploy(expected_throughput=1000.0, expected_input_rate=1200.0)
+        assert pipeline.chains[0].shedder is None
+
+    def test_deploy_builds_shedder_on_model(self):
+        pipeline = espice_pipeline().train(toy_stream())
+        pipeline.deploy()
+        assert pipeline.chains[0].shedder.model is pipeline.model
+
+    def test_deploy_wires_detector_to_shedder(self):
+        pipeline = espice_pipeline().train(toy_stream())
+        pipeline.deploy(expected_throughput=1000.0, expected_input_rate=1200.0)
+        chain = pipeline.chains[0]
+        assert chain.detector.shedder is chain.shedder
+        assert chain.detector.latency_bound == pipeline.config.latency_bound
+        assert chain.detector.reference_size == pipeline.model.reference_size
+
+    def test_configured_f_wins(self):
+        pipeline = espice_pipeline(f=0.7).train(toy_stream())
+        pipeline.deploy(expected_throughput=1000.0, expected_input_rate=1200.0)
+        assert pipeline.chains[0].detector.f == 0.7
+
+    def test_auto_f_selected_with_hints(self):
+        pipeline = espice_pipeline(f=None).train(toy_stream())
+        pipeline.deploy(expected_throughput=1000.0, expected_input_rate=1200.0)
+        assert 0.0 < pipeline.chains[0].detector.f < 1.0
+
+    def test_auto_f_needs_hints(self):
+        pipeline = espice_pipeline(f=None).train(toy_stream())
+        with pytest.raises(ValueError, match="hints"):
+            pipeline.deploy()
+
+    def test_bin_size_reaches_model(self):
+        model = espice_pipeline(bin_size=2).train(toy_stream()).model
+        assert model.bin_size == 2
+        assert model.table.bins == 2
 
 
 class TestRetrain:

@@ -96,7 +96,8 @@ class TestSimulationIntegration:
         from repro.cep.patterns import seq, spec
         from repro.cep.patterns.query import Query
         from repro.cep.windows import CountSlidingWindows
-        from repro.runtime.simulation import SimulationConfig, simulate
+        from repro.pipeline import Pipeline
+        from repro.runtime.simulation import SimulationConfig, simulate_pipeline
 
         builder = StreamBuilder(rate=100.0)
         for i in range(1000):
@@ -109,7 +110,10 @@ class TestSimulationIntegration:
         config = SimulationConfig(input_rate=500.0, throughput=1000.0)
         # all events arriving at once: the last one queues behind 999
         instant = [0.0] * 1000
-        result = simulate(query, builder.stream, config, arrival_times=instant)
+        pipeline = Pipeline.builder().query(query).build()
+        result = simulate_pipeline(
+            pipeline, builder.stream, config, arrival_times=instant
+        )["q"]
         assert result.latency.stats().maximum == pytest.approx(1.0, rel=0.05)
 
     def test_arrival_times_validated(self):
@@ -117,7 +121,8 @@ class TestSimulationIntegration:
         from repro.cep.patterns import seq, spec
         from repro.cep.patterns.query import Query
         from repro.cep.windows import CountSlidingWindows
-        from repro.runtime.simulation import SimulationConfig, simulate
+        from repro.pipeline import Pipeline
+        from repro.runtime.simulation import SimulationConfig, simulate_pipeline
 
         builder = StreamBuilder()
         builder.emit("A")
@@ -128,7 +133,10 @@ class TestSimulationIntegration:
             window_factory=lambda: CountSlidingWindows(2),
         )
         config = SimulationConfig(input_rate=1.0, throughput=1.0)
+        pipeline = Pipeline.builder().query(query).build()
         with pytest.raises(ValueError):
-            simulate(query, builder.stream, config, arrival_times=[0.0])
+            simulate_pipeline(pipeline, builder.stream, config, arrival_times=[0.0])
         with pytest.raises(ValueError):
-            simulate(query, builder.stream, config, arrival_times=[1.0, 0.5])
+            simulate_pipeline(
+                pipeline, builder.stream, config, arrival_times=[1.0, 0.5]
+            )

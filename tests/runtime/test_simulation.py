@@ -7,12 +7,12 @@ from repro.cep.patterns import seq, spec
 from repro.cep.patterns.query import Query
 from repro.cep.windows import CountSlidingWindows
 from repro.core.overload import OverloadDetector
+from repro.pipeline import Pipeline
 from repro.runtime.simulation import (
     SimulationConfig,
     measure_mean_memberships,
-    simulate,
+    simulate_pipeline,
 )
-from repro.shedding.base import LoadShedder
 from repro.shedding.random_shedder import RandomShedder
 
 
@@ -29,6 +29,16 @@ def toy_stream(n=1000):
     for i in range(n):
         builder.emit("A" if i % 3 == 0 else ("B" if i % 3 == 1 else "X"))
     return builder.stream
+
+
+def simulate_one(query, stream, config, shedder=None, detector=None):
+    """One single-query ``simulate_pipeline`` run with injected components."""
+    builder = Pipeline.builder().query(query)
+    if shedder is not None:
+        builder.shedder(shedder)
+    if detector is not None:
+        builder.detector(detector)
+    return simulate_pipeline(builder.build(), stream, config)[query.name]
 
 
 class TestMeasureMeanMemberships:
@@ -49,14 +59,14 @@ class TestUnshedded:
     def test_underload_latency_is_processing_time(self):
         # R < th: no queueing; every event's latency ~= l(p)
         config = SimulationConfig(input_rate=100.0, throughput=1000.0)
-        result = simulate(toy_query(), toy_stream(500), config)
+        result = simulate_one(toy_query(), toy_stream(500), config)
         stats = result.latency.stats()
         assert stats.count == 500
         assert stats.maximum <= 2.0 / 1000.0 + 1e-9
 
     def test_overload_latency_grows_without_shedding(self):
         config = SimulationConfig(input_rate=1500.0, throughput=1000.0)
-        result = simulate(toy_query(), toy_stream(2000), config)
+        result = simulate_one(toy_query(), toy_stream(2000), config)
         stats = result.latency.stats()
         assert stats.maximum > 0.3  # ~2000/3000 s of backlog at the end
         assert result.max_queue_size > 100
@@ -68,14 +78,14 @@ class TestUnshedded:
         query = toy_query()
         truth = ground_truth(query, stream)
         config = SimulationConfig(input_rate=100.0, throughput=1000.0)
-        result = simulate(query, stream, config)
+        result = simulate_one(query, stream, config)
         report = compare_results(truth, result.complex_events)
         assert report.degradation == 0
 
     def test_unshedded_throughput_calibration(self):
         # virtual duration of a saturated run ~= n / th
         config = SimulationConfig(input_rate=10_000.0, throughput=1000.0)
-        result = simulate(toy_query(), toy_stream(1000), config)
+        result = simulate_one(toy_query(), toy_stream(1000), config)
         assert result.virtual_duration == pytest.approx(1.0, rel=0.1)
 
 
@@ -99,7 +109,7 @@ class TestWithShedding:
             latency_bound=0.1,
             check_interval=0.01,
         )
-        return simulate(query, stream, config, shedder=shedder, detector=detector)
+        return simulate_one(query, stream, config, shedder=shedder, detector=detector)
 
     def test_shedding_contains_latency(self):
         # a random shedder drops exactly the surplus, so the queue hovers
@@ -161,7 +171,7 @@ class TestDeterminism:
         config = SimulationConfig(
             input_rate=1300.0, throughput=1000.0, latency_bound=0.1, check_interval=0.01
         )
-        result = simulate(query, stream, config, shedder=shedder, detector=detector)
+        result = simulate_one(query, stream, config, shedder=shedder, detector=detector)
         return (
             [c.key for c in result.complex_events],
             result.operator_stats.memberships_dropped,
