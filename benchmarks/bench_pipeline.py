@@ -26,9 +26,14 @@ History of the tracked number (best-of-3, soccer Q1 workload):
 
 Run ``python benchmarks/bench_pipeline.py --smoke`` for a quick
 CI-friendly check that replay at batch=64 is not slower than at
-batch=1 and stays bit-identical.
+batch=1 and stays bit-identical.  The smoke also writes
+``BENCH_pipeline.json``: events/s of ``detect_all``, batch=1 and
+batch=64, with the kernel backend, the stream seed and the detection
+digest, so the core has a tracked trajectory like the other layers.
 """
 
+import hashlib
+import json
 import time
 
 #: Chain overhead measured at the seed of the API redesign (%).
@@ -39,9 +44,13 @@ OPTIMISED_OVERHEAD_PCT = 31.0
 BATCHED_TARGET_PCT = 10.0
 #: Micro-batch size used for the tracked number.
 BATCH_SIZE = 64
+#: Soccer stream seed of the smoke run (``soccer_streams``' default).
+SEED = 3
+#: Where the smoke's machine-readable report lands (cwd-relative).
+REPORT_PATH = "BENCH_pipeline.json"
 
 from repro.cep.operator.operator import CEPOperator
-from repro.core.kernel import HAVE_NUMPY
+from repro.core.kernel import HAVE_NUMPY, default_backend
 from repro.experiments import workloads
 from repro.pipeline import Pipeline
 from repro.queries import build_q1
@@ -329,14 +338,29 @@ def test_simulation_driver_overhead(report):
 # ----------------------------------------------------------------------
 # CI smoke mode: python benchmarks/bench_pipeline.py --smoke
 # ----------------------------------------------------------------------
+def detection_digest(complex_events) -> str:
+    """Short stable hash of the ordered detection keys (perfbench's digest)."""
+    keys = [c.key for c in complex_events]
+    body = json.dumps([list(k[:2]) + [list(k[2])] for k in keys])
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
+
+
 def smoke() -> int:
     """Fast assertion: batch=64 replay <= batch=1 wall time, identical
-    detections.  Exits non-zero on violation (wired into CI)."""
-    _train, stream = workloads.soccer_streams()
+    detections.  Exits non-zero on violation (wired into CI).  Writes
+    ``BENCH_pipeline.json`` either way."""
+    _train, stream = workloads.soccer_streams(seed=SEED)
+    n = len(stream)
+    direct_s, direct_out = _measure(
+        lambda: CEPOperator(build_q1(pattern_size=3)).detect_all(stream)
+    )
     per_event_s, per_event_out = _measure(_chain_runner(stream))
     batched_s, batched_out = _measure(_chain_runner(stream, BATCH_SIZE))
     assert [c.key for c in batched_out] == [c.key for c in per_event_out], (
         "batch=64 detections diverged from batch=1 detections"
+    )
+    assert [c.key for c in per_event_out] == [c.key for c in direct_out], (
+        "batch=1 detections diverged from detect_all detections"
     )
     print(
         f"bench_pipeline --smoke: batch=1 {per_event_s:.3f}s, "
@@ -344,6 +368,20 @@ def smoke() -> int:
         f"({100.0 * (batched_s - per_event_s) / per_event_s:+.1f}%), "
         f"{len(batched_out)} identical detections"
     )
+    report = {
+        "events": n,
+        "seed": SEED,
+        "kernel_backend": default_backend(),
+        "detections": len(batched_out),
+        "digest": detection_digest(batched_out),
+        "detect_all_eps": round(n / direct_s),
+        "batch1_eps": round(n / per_event_s),
+        f"batch{BATCH_SIZE}_eps": round(n / batched_s),
+        "unix_time": round(time.time(), 3),
+    }
+    with open(REPORT_PATH, "w") as handle:
+        json.dump(report, handle, indent=2, sort_keys=True)
+        handle.write("\n")
     if batched_s > per_event_s:
         print("FAIL: batch=64 replay slower than batch=1 replay")
         return 1

@@ -15,7 +15,7 @@ directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cep.events import ComplexEvent, Event
 from repro.cep.operator.queue import QueuedItem
@@ -25,15 +25,6 @@ from repro.cep.windows import Window, WindowRef
 
 # Listener signatures: (window with full unshedded content, matches found).
 WindowListener = Callable[[Window, List[Match]], None]
-
-
-@dataclass(slots=True)
-class _WindowBuffer:
-    """Kept (position, event) pairs of one in-flight window."""
-
-    kept: List[Tuple[int, Event]] = field(default_factory=list)
-    arrivals: int = 0
-    dropped: int = 0
 
 
 @dataclass
@@ -79,7 +70,8 @@ class CEPOperator:
         self.shedder = shedder
         self.stats = OperatorStats()
         self._matcher = query.new_matcher()
-        self._buffers: Dict[int, _WindowBuffer] = {}
+        # kept (position, event) pairs of each in-flight window
+        self._buffers: Dict[int, List[Tuple[int, Event]]] = {}
         self._window_listeners: List[WindowListener] = []
         self._size_sum = 0
         self._size_count = 0
@@ -189,46 +181,69 @@ class CEPOperator:
     def process(self, item: QueuedItem, now: float = 0.0) -> ProcessResult:
         """Process one queue item; completes any windows it closed.
 
-        Equivalent to :meth:`decide` followed by :meth:`apply` -- kept
-        as the one-call path for direct (non-pipeline) users.
+        Equivalent to :meth:`decide` followed by :meth:`apply` on a
+        batch of one -- kept as the one-call path for direct
+        (non-pipeline) users.
         """
-        return self.apply(item, self.decide(item), now=now)
+        return self.apply((item,), (self.decide(item),), (now,))[0]
 
     def apply(
         self,
-        item: QueuedItem,
-        drops: Optional[List[bool]],
-        now: float = 0.0,
-    ) -> ProcessResult:
-        """Apply pre-made drop decisions, then complete closed windows.
+        items: Sequence[QueuedItem],
+        drops: Sequence[Optional[List[bool]]],
+        nows: Sequence[float],
+    ) -> List[ProcessResult]:
+        """Apply pre-made drop decisions to a batch, in stream order.
 
-        ``drops`` aligns with ``item.refs``; ``None`` keeps everything.
-        Memberships are applied before window completion: a count-based
-        window closes *with* its final event, so that event's shedding
-        decision and buffer append must land before the window is
-        matched.  (Time-based windows close before a later event and
-        carry no membership for it, so the order is safe for both.)
+        ``drops`` and ``nows`` align with ``items``; ``drops[i]`` aligns
+        with ``items[i].refs`` and ``None`` keeps every membership.
+        Per item, memberships are applied before window completion: a
+        count-based window closes *with* its final event, so that
+        event's shedding decision and buffer append must land before
+        the window is matched.  (Time-based windows close before a
+        later event and carry no membership for it, so the order is
+        safe for both.)  Windows closed by an item complete before the
+        next item is applied, stamped with that item's ``now``.
         """
-        result = ProcessResult()
-        event = item.event
-        for index, ref in enumerate(item.refs):
-            buffer = self._buffers.setdefault(ref.window_id, _WindowBuffer())
-            buffer.arrivals += 1
-            drop = drops[index] if drops is not None else False
-            if drop:
-                buffer.dropped += 1
-                result.memberships_dropped += 1
+        buffers = self._buffers
+        get_buffer = buffers.get
+        complete = self._complete_window
+        results: List[ProcessResult] = []
+        kept_total = 0
+        dropped_total = 0
+        for item, item_drops, now in zip(items, drops, nows):
+            event = item.event
+            refs = item.refs
+            kept = 0
+            if item_drops is None:
+                for ref in refs:
+                    buffer = get_buffer(ref.window_id)
+                    if buffer is None:
+                        buffer = buffers[ref.window_id] = []
+                    buffer.append((ref.position, event))
+                kept = len(refs)
             else:
-                buffer.kept.append((ref.position, event))
-                result.memberships_kept += 1
+                for ref, drop in zip(refs, item_drops, strict=True):
+                    if drop:
+                        continue
+                    buffer = get_buffer(ref.window_id)
+                    if buffer is None:
+                        buffer = buffers[ref.window_id] = []
+                    buffer.append((ref.position, event))
+                    kept += 1
+            complex_events: List[ComplexEvent] = []
+            for window in item.closed_windows:
+                complex_events.extend(complete(window, now))
+            dropped = len(refs) - kept
+            results.append(ProcessResult(complex_events, kept, dropped))
+            kept_total += kept
+            dropped_total += dropped
 
-        for window in item.closed_windows:
-            result.complex_events.extend(self._complete_window(window, now))
-
-        self.stats.events_processed += 1
-        self.stats.memberships_kept += result.memberships_kept
-        self.stats.memberships_dropped += result.memberships_dropped
-        return result
+        stats = self.stats
+        stats.events_processed += len(results)
+        stats.memberships_kept += kept_total
+        stats.memberships_dropped += dropped_total
+        return results
 
     def flush(self, windows: Iterable[Window], now: float = 0.0) -> List[ComplexEvent]:
         """Complete the given still-open windows at end of stream."""
@@ -238,13 +253,13 @@ class CEPOperator:
         return complex_events
 
     def _complete_window(self, window: Window, now: float) -> List[ComplexEvent]:
-        buffer = self._buffers.pop(window.window_id, _WindowBuffer())
+        kept = self._buffers.pop(window.window_id, ())
         if not window.truncated:
             # truncated windows would skew the window-size predictor
             self._size_sum += window.size
             self._size_count += 1
-        positions = [pos for pos, _e in buffer.kept]
-        events = [e for _pos, e in buffer.kept]
+        positions = [pos for pos, _e in kept]
+        events = [e for _pos, e in kept]
         matches = self._matcher.match_window(events, positions)
         complex_events = [
             ComplexEvent(

@@ -14,11 +14,19 @@ individual windows, so an event's *position within each window* (the
 ``P`` of ``UT(T, P)``) is its arrival index in that window regardless of
 whether other events were shed.
 
-Assigners are streaming objects: feed events one at a time with
-:meth:`WindowAssigner.on_event` and they report, per event, the set of
+Assigners are streaming objects.  The entry point is
+:meth:`WindowAssigner.on_events`: feed it a micro-batch of events in
+arrival order and it reports, per event, the set of
 ``(window_id, position)`` assignments plus any windows that closed
-strictly before the event.  :func:`iter_windows` is a batch convenience
-used by ground-truth computation and model training.
+before the event (or, for count windows, with it).  A single event is a
+batch of one (:meth:`WindowAssigner.on_event`).  :func:`iter_windows`
+is a batch convenience used by ground-truth computation and model
+training.
+
+Window ids are issued in ascending order and a window enters the
+open-window dict when its id is issued; dicts keep insertion order, so
+iterating that dict visits the open windows oldest first without a
+sort.
 """
 
 from __future__ import annotations
@@ -102,8 +110,8 @@ class WindowAssigner:
 
     @property
     def open_windows(self) -> List[Window]:
-        """Currently open windows, oldest first."""
-        return [self._open[wid] for wid in sorted(self._open)]
+        """Currently open windows, oldest first (insertion order is id order)."""
+        return list(self._open.values())
 
     def on_event(self, event: Event) -> AssignResult:
         """Assign ``event``; report memberships and windows closed before it."""
@@ -114,7 +122,7 @@ class WindowAssigner:
 
         Window membership is a pure streaming function, so the base
         implementation is a loop with the dispatch hoisted; assigners
-        with cheaper bulk bookkeeping may override.  Results align with
+        with cheaper bulk bookkeeping override it.  Results align with
         ``events`` one-to-one -- batched callers
         (:meth:`repro.pipeline.stages.WindowAssignStage.process_batch`)
         rely on that.
@@ -256,36 +264,64 @@ class PredicateWindows(WindowAssigner):
             raise ValueError("extent_seconds must be positive")
         if extent_events is not None and extent_events <= 0:
             raise ValueError("extent_events must be positive")
+        if max_open <= 0:
+            raise ValueError("max_open must be positive")
         self.open_predicate = open_predicate
         self.extent_seconds = extent_seconds
         self.extent_events = extent_events
         self.include_opener = include_opener
         self.max_open = max_open
 
-    def _window_expired(self, window: Window, event: Event) -> bool:
-        if self.extent_seconds is not None:
-            return event.timestamp >= window.open_time + self.extent_seconds
-        assert self.extent_events is not None
-        return window.size >= self.extent_events
-
     def on_event(self, event: Event) -> AssignResult:
-        result = AssignResult()
-        for window in self.open_windows:
-            if self._window_expired(window, event):
-                result.closed.append(self._close(window, event.timestamp))
-        opened: Optional[Window] = None
-        if self.open_predicate(event):
-            if len(self._open) >= self.max_open:
-                oldest = self.open_windows[0]
-                oldest.truncated = True
-                result.closed.append(self._close(oldest, event.timestamp))
-            opened = self._new_window(event.timestamp)
-        for window in self.open_windows:
-            if window is opened and not self.include_opener:
-                continue
-            window.events.append(event)
-            result.assignments.append(WindowRef(window.window_id, window.size - 1))
-        return result
+        return self.on_events((event,))[0]
+
+    def on_events(self, events: Iterable[Event]) -> List[AssignResult]:
+        """Assign a micro-batch in one pass (the only implementation).
+
+        Per event: close the windows whose extent the event exceeds,
+        open a window if the predicate fires (force-closing the oldest
+        at the ``max_open`` cap), then append the event to every open
+        window.  The expiry scan visits every open window, so event
+        timestamps need not be monotonic.
+        """
+        open_ = self._open
+        predicate = self.open_predicate
+        extent_seconds = self.extent_seconds
+        # read only when extent_seconds is None, i.e. extent_events is set
+        extent_events = self.extent_events or 0
+        include_opener = self.include_opener
+        max_open = self.max_open
+        close = self._close
+        new_window = self._new_window
+        results: List[AssignResult] = []
+        for event in events:
+            timestamp = event.timestamp
+            closed: List[Window] = []
+            for window in open_.values():
+                if (
+                    timestamp >= window.open_time + extent_seconds
+                    if extent_seconds is not None
+                    else len(window.events) >= extent_events
+                ):
+                    closed.append(window)
+            for window in closed:
+                close(window, timestamp)
+            opened: Optional[Window] = None
+            if predicate(event):
+                if len(open_) >= max_open:
+                    oldest = next(iter(open_.values()))
+                    oldest.truncated = True
+                    closed.append(close(oldest, timestamp))
+                opened = new_window(timestamp)
+            assignments: List[WindowRef] = []
+            for window in open_.values():
+                if window is opened and not include_opener:
+                    continue
+                members = window.events
+                members.append(event)
+                assignments.append(WindowRef(window.window_id, len(members) - 1))
+            results.append(AssignResult(assignments, closed))
+        return results
 
     def expected_window_size(self, stream_rate: float) -> float:
         if self.extent_events is not None:

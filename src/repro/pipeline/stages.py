@@ -294,10 +294,14 @@ class MatchStage(Stage):
 
     # repro-lint: parity-tested
     def process_batch(self, batch: "StageBatch") -> None:
-        apply = self.operator.apply
-        for ctx in batch.contexts:
-            if not ctx.stopped:
-                ctx.result = apply(ctx.item, ctx.drops, now=ctx.now)
+        live = [ctx for ctx in batch.contexts if not ctx.stopped]
+        results = self.operator.apply(
+            [ctx.item for ctx in live],
+            [ctx.drops for ctx in live],
+            [ctx.now for ctx in live],
+        )
+        for ctx, result in zip(live, results):
+            ctx.result = result
 
     def flush(self, windows: List[Window], now: float) -> List[ComplexEvent]:
         """Complete still-open windows at end of stream."""

@@ -186,6 +186,10 @@ class TestPredicateWindows:
         with pytest.raises(ValueError):
             PredicateWindows(lambda e: True, extent_seconds=1.0, extent_events=5)
 
+    def test_max_open_must_be_positive(self):
+        with pytest.raises(ValueError):
+            PredicateWindows(lambda e: True, extent_seconds=1.0, max_open=0)
+
     def test_expected_window_size(self):
         by_count = self._assigner(extent_events=50)
         assert by_count.expected_window_size(10.0) == 50.0
